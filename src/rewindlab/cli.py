@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.errors import RewindlabError
+from rewindlab.errors import InvalidParameterError, RewindlabError
 from rewindlab.result import FidelityResult
 
 USAGE_EXIT = 1
@@ -49,14 +49,36 @@ def _exact(value) -> str:
     return str(value) if isinstance(value, Fraction) else ""
 
 
+def _read_channel(path: str):
+    """Parse a Kraus channel JSON file; a malformed file is a usage error."""
+    from rewindlab.noise import KrausChannel
+
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return KrausChannel.from_json(text)
+    except (ValueError, KeyError, TypeError, InvalidParameterError) as exc:
+        raise click.UsageError(f"channel file {path}: malformed Kraus operators ({exc})")
+
+
+def _channel_stats(channel):
+    """Channel statistics; a channel they reject (e.g. not trace preserving) exits 2."""
+    from rewindlab.noise import channel_stats
+
+    try:
+        return channel_stats(channel)
+    except RewindlabError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(COMPUTE_EXIT)
+
+
 def _load_channel(path: str | None, alpha: float | None, beta: float | None):
     """Returns (channel, stats) from a JSON file or bare (alpha, beta)."""
-    from rewindlab.noise import ChannelStats, KrausChannel, channel_stats
+    from rewindlab.noise import ChannelStats
 
     if path is not None:
-        with open(path) as fh:
-            channel = KrausChannel.from_json(fh.read())
-        return channel, channel_stats(channel)
+        channel = _read_channel(path)
+        return channel, _channel_stats(channel)
     if alpha is not None or beta is not None:
         stats = ChannelStats(
             alpha=alpha if alpha is not None else 1.0,
@@ -298,15 +320,7 @@ def paths(start, end, s, t, method):
 @click.option("--channel", "channel_path", type=click.Path(exists=True), required=True)
 def noise_stats(channel_path):
     """Print alpha, beta, beta_u, beta_d and boundary overlaps of a channel."""
-    from rewindlab.noise import KrausChannel, channel_stats
-
-    with open(channel_path) as fh:
-        channel = KrausChannel.from_json(fh.read())
-    try:
-        stats = channel_stats(channel)
-    except RewindlabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(COMPUTE_EXIT)
+    stats = _channel_stats(_read_channel(channel_path))
     for name in ("alpha", "beta", "beta_u", "beta_d", "recycled_one", "recycled_s"):
         click.echo(f"{name} = {getattr(stats, name):.12g}")
 

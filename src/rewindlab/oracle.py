@@ -21,6 +21,15 @@ qudit.  Each rewound gate contributes
 applied jointly to all four copies of its two qudits, which is the Haar
 average of U x U* x U x U*.  Non-rewound gates contribute the first moment
 (1/d)|Phi>><<Phi| on the (c1, c2) copies alone.
+
+Gates act on adjacent qudits (a, a+1), so the folded vector is kept flat
+and each gate is applied on its (pre, q^8, post) view, pre = q^(4(a-1)).
+A second moment has rank 2: one matmul projects the q^8 block onto the two
+pairing states and one writes the Weingarten-mixed pair back.  A first
+moment sums the (c1, c2) diagonals and writes one outer product.  Channels
+act inside the same block, so they are folded into these small per-gate
+maps once and cost no pass over the vector.  Each gate thus reads the
+vector once and writes one new one: the peak is about two folded vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import TooLargeError
+from rewindlab.errors import InvalidParameterError, TargetNotIdleError, TooLargeError
 from rewindlab.parallel import map_chunks
 from rewindlab.result import FidelityResult
 
@@ -83,73 +92,36 @@ class SeededRng:
         return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=(index,)))
 
 
+def _check_channel_dim(channel: "KrausChannel", q: int) -> None:
+    if channel.qudit_dim() != q:
+        raise InvalidParameterError(f"channel acts on qudits of dimension {channel.qudit_dim()}, circuit has q={q}")
+
+
 # -- exact twirl ---------------------------------------------------------
 
 
-def _pair_vectors(q: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _pair_vectors(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-qudit four-copy pairing tensors for the two permutations."""
-    eye = np.eye(q, dtype=dtype)
+    eye = np.eye(q)
     one = np.einsum("ij,kl->ijkl", eye, eye)  # pairs (c1,c2)(c3,c4)
     s = np.einsum("il,jk->ijkl", eye, eye)  # pairs (c1,c4)(c2,c3)
     return one, s
 
 
-def _axes(qudit: int, copies: tuple[int, ...]) -> list[int]:
-    return [4 * (qudit - 1) + c for c in copies]
-
-
-def _apply_second_moment(v: np.ndarray, q: int, a: int, b: int, wg: tuple[float, float]) -> np.ndarray:
-    one, s = _pair_vectors(q, v.dtype)
-    ax_a, ax_b = _axes(a, (0, 1, 2, 3)), _axes(b, (0, 1, 2, 3))
-
-    def contract(tau_a, tau_b):
-        tmp = np.tensordot(v, tau_a, axes=(ax_a, [0, 1, 2, 3]))
-        shifted = [x - 4 for x in ax_b]  # qudit a's axes (a < b) are gone
-        return np.tensordot(tmp, tau_b, axes=(shifted, [0, 1, 2, 3]))
-
-    r_one = contract(one, one)
-    r_s = contract(s, s)
-    wg_e, wg_t = wg
-    c_one = wg_e * r_one + wg_t * r_s
-    c_s = wg_t * r_one + wg_e * r_s
-
-    out = np.zeros_like(v)
-    for tau_q, rest in ((one, c_one), (s, c_s)):
-        pair8 = np.multiply.outer(tau_q, tau_q)
-        block = np.multiply.outer(pair8, rest)
-        out += np.moveaxis(block, range(8), ax_a + ax_b)
-    return out
-
-
-def _apply_first_moment(v: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
-    phi = np.eye(q, dtype=v.dtype)  # |Phi> on (c1, c2) of one qudit
-    ax_a, ax_b = _axes(a, (0, 1)), _axes(b, (0, 1))
-    tmp = np.tensordot(v, phi, axes=(ax_a, [0, 1]))
-    shifted = [x - 2 for x in ax_b]
-    rest = np.tensordot(tmp, phi, axes=(shifted, [0, 1]))
-    block = np.multiply.outer(np.multiply.outer(phi, phi), rest) / q**2
-    return np.moveaxis(block, range(4), ax_a + ax_b)
-
-
-def _apply_superop(v: np.ndarray, q: int, sup: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply a superoperator tensor over the given copy axes.
-
-    ``sup`` has 2k legs ordered (outputs..., inputs...) with k = len(axes).
-    """
-    k = len(axes)
-    tmp = np.tensordot(v, sup, axes=(axes, list(range(k, 2 * k))))
-    return np.moveaxis(tmp, range(v.ndim - k, v.ndim), axes)
-
-
-def _channel_superops(channel: "KrausChannel"):
-    """(rho-side, proj-side) superoperator tensors for one channel.
+def _pair_superops(channel: "KrausChannel | None", q: int):
+    """(rho-side, proj-side) maps of the channel on one gate's qudit pair.
 
     rho side: rho -> sum_k E rho E^dag; proj side is the adjoint channel
-    O -> sum_k E^dag O E.  Tensors are returned with legs
-    (ket_out, bra_out, ket_in, bra_in), each leg of dimension q^arity, and
-    are real whenever possible (e.g. Pauli channels) so the noiseless
-    float64 path can be kept.
+    O -> sum_k E^dag O E.  Each is a (d, d, d, d) tensor, d = q^2, with legs
+    (a_out, b_out, a_in, b_in), each leg the (ket, bra) copy pair of one
+    qudit; an arity-1 channel acts on both qudits.  No channel gives the
+    identity.  Tensors are real whenever possible (e.g. Pauli channels) so
+    the float64 path can be kept.
     """
+    d = q * q
+    if channel is None:
+        eye = np.eye(d * d).reshape(d, d, d, d)
+        return eye, eye
     dim = channel.dim
     sup = np.zeros((dim, dim, dim, dim), dtype=complex)
     adj = np.zeros((dim, dim, dim, dim), dtype=complex)
@@ -158,10 +130,56 @@ def _channel_superops(channel: "KrausChannel"):
         ed = e.conj().T
         adj += np.einsum("ik,jl->ijkl", ed, ed.conj())
 
-    def tighten(t):
-        return t.real if np.abs(t.imag).max() < 1e-14 else t
+    def pair(t):
+        t = t.real if np.abs(t.imag).max() < 1e-14 else t
+        if channel.arity == 2:
+            # legs (ket_ab, bra_ab) out and in -> ((ket_a, bra_a), (ket_b, bra_b))
+            return t.reshape((q,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d, d, d)
+        m = t.reshape(d, d)
+        return np.einsum("AC,BD->ABCD", m, m)
 
-    return tighten(sup), tighten(adj)
+    return pair(sup), pair(adj)
+
+
+def _dress(vectors: np.ndarray, sup: np.ndarray, side: int) -> np.ndarray:
+    """Apply a pair map to the rho-side (side 0: c1, c2) or proj-side
+    (side 2: c3, c4) copies of stacked q^8 pair-block vectors."""
+    d = sup.shape[0]
+    spec = "ABCD,kCxDy->kAxBy" if side == 0 else "ABCD,kxCyD->kxAyB"
+    return np.einsum(spec, sup, vectors.reshape(-1, d, d, d, d)).reshape(vectors.shape)
+
+
+def _gate_maps(q: int, rho_sup: np.ndarray, adj_sup: np.ndarray):
+    """Per-gate maps with the slot channels folded in.
+
+    A rewound gate is K_rho P^T W P K_adj on its q^8 pair block: P (2 x q^8)
+    projects onto the pairing states one x one and s x s, W mixes them with
+    the Weingarten weights.  Returned as ``down`` = P K_adj and ``up`` =
+    K_rho P^T W.  A gate applied once is (1/d) K_rho |Phi Phi>><<Phi Phi| on
+    the (c1, c2) copies; ``first`` = K_rho|Phi Phi>> / d as a (d, d) matrix.
+    """
+    d = q * q
+    one, s = _pair_vectors(q)
+    proj = np.stack([np.multiply.outer(one, one).ravel(), np.multiply.outer(s, s).ravel()])
+    wg_e, wg_t = weingarten_pair(d)
+    mix = proj.T @ np.array([[wg_e, wg_t], [wg_t, wg_e]])
+    down = _dress(proj, adj_sup.transpose(2, 3, 0, 1), 2)
+    up = _dress(mix.T, rho_sup, 0).T
+    phi = np.eye(q).ravel()
+    return down, up, np.einsum("ABCD,C,D->AB", rho_sup, phi, phi) / d
+
+
+def _apply(mat: np.ndarray, v: np.ndarray, pre: int) -> np.ndarray:
+    """``mat`` on the middle axis of the (pre, mat columns, rest) view of flat ``v``."""
+    return np.matmul(mat, v.reshape(pre, mat.shape[1], -1)).reshape(-1)
+
+
+def _apply_first_moment(v: np.ndarray, first: np.ndarray, q: int, pre: int) -> np.ndarray:
+    """Sum the (c1, c2) diagonals of a qudit pair, write ``first`` in their place."""
+    d = q * q
+    diag = (slice(None), slice(None, None, q + 1), slice(None), slice(None, None, q + 1))
+    rest = v.reshape(pre, d, d, d, -1)[diag].sum(axis=(1, 3))
+    return (first[None, :, None, :, None] * rest[:, None, :, None, :]).reshape(-1)
 
 
 def _initial_vector(n: int, q: int, targeted: frozenset[int], dtype) -> np.ndarray:
@@ -173,14 +191,14 @@ def _initial_vector(n: int, q: int, targeted: frozenset[int], dtype) -> np.ndarr
         proj = zero2 if i in targeted else phi
         block = np.multiply.outer(zero2, proj)
         v = np.multiply.outer(v, block)
-    return v
+    return v.reshape(-1)
 
 
 def _final_contraction(v: np.ndarray, n: int, q: int):
-    s_cap = np.einsum("il,jk->ijkl", np.eye(q, dtype=v.dtype), np.eye(q, dtype=v.dtype))
+    s_cap = _pair_vectors(q)[1].reshape(-1)
     for _ in range(n):
-        v = np.tensordot(v, s_cap, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-    return v
+        v = s_cap @ v.reshape(q**4, -1)
+    return v.item()
 
 
 def exact_twirl_fidelity(
@@ -195,54 +213,26 @@ def exact_twirl_fidelity(
         raise TooLargeError(f"folded vector q^(4n) = {q}^{4 * n} exceeds cap {max_elements}")
     targeted = target.qudits(n)
     if not targeted <= layout.idle:
-        from rewindlab.errors import TargetNotIdleError
-
         raise TargetNotIdleError(f"target {sorted(targeted)} not idle")
+    if channel is not None:
+        _check_channel_dim(channel, q)
 
-    noisy = channel is not None
-    dtype = np.float64
-    rho_sup = adj_sup = None
-    if noisy:
-        rho_sup, adj_sup = _channel_superops(channel)
-        if np.iscomplexobj(rho_sup) or np.iscomplexobj(adj_sup):
-            dtype = np.complex128
-        legs = (q,) * (4 * channel.arity)
-        rho_sup = rho_sup.reshape(legs).astype(dtype, copy=False)
-        adj_sup = adj_sup.reshape(legs).astype(dtype, copy=False)
-
-    v = _initial_vector(n, q, targeted, dtype)
-    wg = weingarten_pair(q * q)
+    rho_sup, adj_sup = _pair_superops(channel, q)
+    down, up, first = _gate_maps(q, rho_sup, adj_sup)
+    v = _initial_vector(n, q, targeted, np.result_type(down, up, first))
     rewound = layout.rewound_ids
-
-    def apply_channel(vec, sup, gate, copies):
-        # ``copies`` = (ket, bra) copy indices: (0, 1) rho side, (2, 3) proj side.
-        ket, bra = copies
-        if channel.arity == 2:
-            a, b = gate
-            axes = _axes(a, (ket,)) + _axes(b, (ket,)) + _axes(a, (bra,)) + _axes(b, (bra,))
-            return _apply_superop(vec, q, sup, axes)
-        for w in gate:
-            vec = _apply_superop(vec, q, sup, _axes(w, (ket, bra)))
-        return vec
-
     for slot in layout.forward_slots:
-        a, b = slot.qudits
+        # Gates act on (a, a+1), adjacent by construction.  For a rewound
+        # gate the partner slot's channel acts below the node on the
+        # projector-side copies (adjoint channel), the forward slot's
+        # channel above it on the rho-side copies.
+        pre = q ** (4 * (slot.qudits[0] - 1))
         if slot.gate_id in rewound:
-            # The partner slot's channel acts below this node on the
-            # projector-side copies (adjoint channel), the forward slot's
-            # channel above it on the rho-side copies.
-            if noisy:
-                v = apply_channel(v, adj_sup, (a, b), (2, 3))
-            v = _apply_second_moment(v, q, a, b, wg)
-            if noisy:
-                v = apply_channel(v, rho_sup, (a, b), (0, 1))
+            v = _apply(up, _apply(down, v, pre), pre)
         else:
-            v = _apply_first_moment(v, q, a, b)
-            if noisy:
-                v = apply_channel(v, rho_sup, (a, b), (0, 1))
+            v = _apply_first_moment(v, first, q, pre)
 
-    value = _final_contraction(v, n, q)
-    value = complex(value)
+    value = complex(_final_contraction(v, n, q))
     if abs(value.imag) > 1e-10:
         raise ArithmeticError(f"twirl contraction returned complex value {value}")
     return FidelityResult(value=float(value.real), method="twirl")
@@ -350,8 +340,10 @@ def mc_average_fidelity(
     if isinstance(rng, int):
         rng = SeededRng(rng)
     targeted = target.qudits(layout.n)
-    if channel is not None and layout.q ** layout.n > max_density_dim:
-        raise TooLargeError("density-matrix simulation exceeds dimension cap")
+    if channel is not None:
+        _check_channel_dim(channel, layout.q)
+        if layout.q ** layout.n > max_density_dim:
+            raise TooLargeError("density-matrix simulation exceeds dimension cap")
 
     plan = []
     pos = 0

@@ -20,7 +20,6 @@ the band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -210,7 +209,3 @@ def binomial_paths(start, end) -> int:
     if b.x < a.x or b.y < a.y:
         return 0
     return _comb0(b.x + b.y - a.x - a.y, b.x - a.x)
-
-
-def as_fraction(count: int) -> Fraction:
-    return Fraction(count)

@@ -1,11 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from rewindlab.cli import main
-from rewindlab.noise import depolarizing
+from rewindlab.noise import KrausChannel, depolarizing
 
 
 @pytest.fixture
@@ -123,3 +124,42 @@ def test_fidelity_noisy_closed_with_channel_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     values = [float(line.rsplit(":", 1)[1].split()[0]) for line in result.output.strip().splitlines()]
     assert max(values) - min(values) < 1e-9
+
+
+def test_channel_of_wrong_qudit_dimension_exits_2(runner, tmp_path):
+    path = tmp_path / "depol3.json"
+    path.write_text(depolarizing(3, 0.05).to_json())
+    for method in ("twirl", "mc"):
+        args = ["fidelity", "--q", "2", "--n", "3", "--channel", str(path), "--method", method, "--samples", "10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {method}: channel acts on qudits of dimension 3" in result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+
+
+CHANNEL_FILES = {
+    "malformed_json": ('{"operators": [', 1),
+    "missing_operators": ('{"arity": 1}', 1),
+    "ill_shaped_operators": ('{"operators": [[1, 2]]}', 1),
+    "non_square_operators": ('{"operators": [[[[1, 0], [0, 0]]]]}', 1),
+    "not_trace_preserving": (KrausChannel((2 * np.eye(2),)).to_json(), 2),
+}
+
+
+@pytest.mark.parametrize("command", ["fidelity", "sweep", "compare", "noise-stats"])
+@pytest.mark.parametrize("kind", sorted(CHANNEL_FILES))
+def test_bad_channel_file_exits_cleanly(runner, tmp_path, command, kind):
+    text, code = CHANNEL_FILES[kind]
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    args = {
+        "fidelity": ["fidelity", "--n", "3", "--method", "closed"],
+        "sweep": ["sweep", "--n", "3", "--method", "closed", "--output", str(tmp_path / "out.csv")],
+        "compare": ["compare", "--n", "3"],
+        "noise-stats": ["noise-stats"],
+    }[command]
+    result = runner.invoke(main, args + ["--channel", str(path)])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    expected = "not trace preserving" if code == 2 else "malformed Kraus operators"
+    assert expected in result.output

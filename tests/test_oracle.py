@@ -1,11 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.errors import TooLargeError
-from rewindlab.noise import depolarizing, identity_channel
+from rewindlab.errors import InvalidParameterError, TooLargeError
+from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing, identity_channel, random_channel
 from rewindlab.oracle import (
     SeededRng,
     exact_twirl_fidelity,
@@ -144,3 +145,162 @@ def test_twirl_product_channel_equals_per_qudit_channel():
     f1 = exact_twirl_fidelity(layout, target, channel=single).value
     f2 = exact_twirl_fidelity(layout, target, channel=product).value
     assert f2 == pytest.approx(f1, abs=1e-13)
+
+
+# -- reference contraction -------------------------------------------------
+#
+# The generic contraction the reshaped twirl replaced: the folded vector as
+# a (q,)*4n tensor, tensordot over a gate's copy axes, 8-leg outer products
+# and moveaxis back over the whole tensor for every gate and channel.
+
+
+def _ref_axes(qudit, copies):
+    return [4 * (qudit - 1) + c for c in copies]
+
+
+def _ref_pair_vectors(q, dtype):
+    eye = np.eye(q, dtype=dtype)
+    return np.einsum("ij,kl->ijkl", eye, eye), np.einsum("il,jk->ijkl", eye, eye)
+
+
+def _ref_second_moment(v, q, a, b, wg):
+    one, s = _ref_pair_vectors(q, v.dtype)
+    ax_a, ax_b = _ref_axes(a, (0, 1, 2, 3)), _ref_axes(b, (0, 1, 2, 3))
+
+    def contract(tau_a, tau_b):
+        tmp = np.tensordot(v, tau_a, axes=(ax_a, [0, 1, 2, 3]))
+        return np.tensordot(tmp, tau_b, axes=([x - 4 for x in ax_b], [0, 1, 2, 3]))
+
+    r_one, r_s = contract(one, one), contract(s, s)
+    wg_e, wg_t = wg
+    out = np.zeros_like(v)
+    for tau_q, rest in ((one, wg_e * r_one + wg_t * r_s), (s, wg_t * r_one + wg_e * r_s)):
+        block = np.multiply.outer(np.multiply.outer(tau_q, tau_q), rest)
+        out += np.moveaxis(block, range(8), ax_a + ax_b)
+    return out
+
+
+def _ref_first_moment(v, q, a, b):
+    phi = np.eye(q, dtype=v.dtype)
+    ax_a, ax_b = _ref_axes(a, (0, 1)), _ref_axes(b, (0, 1))
+    tmp = np.tensordot(v, phi, axes=(ax_a, [0, 1]))
+    rest = np.tensordot(tmp, phi, axes=([x - 2 for x in ax_b], [0, 1]))
+    block = np.multiply.outer(np.multiply.outer(phi, phi), rest) / q**2
+    return np.moveaxis(block, range(4), ax_a + ax_b)
+
+
+def _ref_superop(v, sup, axes):
+    k = len(axes)
+    tmp = np.tensordot(v, sup, axes=(axes, list(range(k, 2 * k))))
+    return np.moveaxis(tmp, range(v.ndim - k, v.ndim), axes)
+
+
+def _reference_twirl(layout, target, channel=None):
+    n, q = layout.n, layout.q
+    targeted = target.qudits(n)
+    dtype = np.complex128 if channel is not None else np.float64
+    v = np.ones((), dtype=dtype)
+    zero2 = np.zeros((q, q), dtype=dtype)
+    zero2[0, 0] = 1.0
+    for i in range(1, n + 1):
+        proj = zero2 if i in targeted else np.eye(q, dtype=dtype)
+        v = np.multiply.outer(v, np.multiply.outer(zero2, proj))
+
+    if channel is not None:
+        rho_sup = sum(np.einsum("ik,jl->ijkl", e, e.conj()) for e in channel.operators)
+        adj_sup = sum(np.einsum("ik,jl->ijkl", e.conj().T, e.T) for e in channel.operators)
+        rho_sup, adj_sup = (t.reshape((q,) * (4 * channel.arity)) for t in (rho_sup, adj_sup))
+
+    def apply_channel(vec, sup, a, b, ket, bra):
+        if channel.arity == 2:
+            axes = _ref_axes(a, (ket,)) + _ref_axes(b, (ket,)) + _ref_axes(a, (bra,)) + _ref_axes(b, (bra,))
+            return _ref_superop(vec, sup, axes)
+        for w in (a, b):
+            vec = _ref_superop(vec, sup, _ref_axes(w, (ket, bra)))
+        return vec
+
+    wg = weingarten_pair(q * q)
+    for slot in layout.forward_slots:
+        a, b = slot.qudits
+        if slot.gate_id in layout.rewound_ids:
+            if channel is not None:
+                v = apply_channel(v, adj_sup, a, b, 2, 3)
+            v = _ref_second_moment(v, q, a, b, wg)
+        else:
+            v = _ref_first_moment(v, q, a, b)
+        if channel is not None:
+            v = apply_channel(v, rho_sup, a, b, 0, 1)
+
+    s_cap = _ref_pair_vectors(q, dtype)[1]
+    for _ in range(n):
+        v = np.tensordot(v, s_cap, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
+    return complex(v).real
+
+
+def _channel(name):
+    if name == "ad":
+        return amplitude_damping(2, 0.05)
+    if name == "rand":  # complex superoperator
+        return random_channel(2, 2, np.random.default_rng(2301))
+    if name == "pair":  # arity 2, not a product channel
+        u = haar_unitary(4, np.random.default_rng(3725))
+        return KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * u), arity=2)
+    if name == "dep3":
+        return depolarizing(3, 0.05)
+    return None
+
+
+CROSS_SHAPES = [
+    (Family.CONVOLUTIONAL, 3, 1, 2),
+    (Family.CONVOLUTIONAL, 4, 1, 2),
+    (Family.CONVOLUTIONAL, 5, 1, 2),
+    (Family.HYBRID, 3, 2, 2),
+    (Family.HYBRID, 4, 2, 2),
+    (Family.HYBRID, 5, 2, 2),
+    (Family.LOCAL, 4, 4, 2),
+]
+CROSS_CASES = [(shape, ch) for shape in CROSS_SHAPES for ch in ("none", "ad", "rand", "pair")]
+CROSS_CASES += [((Family.CONVOLUTIONAL, 3, 1, 3), ch) for ch in ("none", "dep3")]
+
+
+@pytest.mark.parametrize("shape,channel_name", CROSS_CASES, ids=lambda x: x if isinstance(x, str) else "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
+def test_twirl_matches_reference_contraction(shape, channel_name):
+    family, n, m, q = shape
+    channel = _channel(channel_name)
+    for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
+        layout = protocol_layout(CircuitShape(family, n, m, q), target)
+        got = exact_twirl_fidelity(layout, target, channel=channel).value
+        assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), str(target)
+
+
+@pytest.mark.parametrize("channel_name", ["rand", "pair"])
+def test_noisy_twirl_vs_density_mc_complex_and_pair_channels(channel_name):
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
+    channel = _channel(channel_name)
+    exact = exact_twirl_fidelity(layout, target, channel=channel).value
+    est = mc_average_fidelity(layout, target, channel=channel, samples=3000, rng=SeededRng(5))
+    assert abs(est.value - exact) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("channel_name,itemsize", [("none", 8), ("rand", 16)])
+def test_twirl_peak_memory_stays_near_two_folded_vectors(channel_name, itemsize):
+    n, q = 5, 2
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, q), target)
+    tracemalloc.start()
+    try:
+        exact_twirl_fidelity(layout, target, channel=_channel(channel_name))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * q ** (4 * n) * itemsize
+
+
+def test_channel_of_wrong_qudit_dimension_refused():
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
+    with pytest.raises(InvalidParameterError, match="dimension 3"):
+        exact_twirl_fidelity(layout, target, channel=depolarizing(3, 0.05))
+    with pytest.raises(InvalidParameterError, match="dimension 3"):
+        mc_average_fidelity(layout, target, channel=depolarizing(3, 0.05), samples=10)
