@@ -124,6 +124,8 @@ def _evaluate(
 ) -> FidelityResult:
     from rewindlab import oracle, statmech
 
+    if channel is not None:
+        oracle.check_channel_dim(channel, q)
     if method == "closed":
         return _closed_value(family, q, n, m, target, stats)
     if method in ("wall", "sum"):

@@ -104,32 +104,22 @@ def _fold_contraction(ops: list[np.ndarray], q: int, out_u: str, out_d: str) -> 
 
     Each operator is reshaped to legs (u_out, d_out, u_in, d_in); the
     pairing strings name which copies each boundary state glues:
-    identity-type pairs (1,2)(3,4), swap-type pairs (1,4)(2,3).
+    identity-type pairs (1,2)(3,4), swap-type pairs (1,4)(2,3).  The
+    summand factorises over k and k', so the operators are stacked and
+    the whole double sum is one contraction over a shared Kraus index
+    (k for copies 1 and 2, l for copies 3 and 4).
     """
-    t = [e.reshape(q, q, q, q) for e in ops]
+    t = np.stack(ops).reshape(-1, q, q, q, q)
 
-    def pair_indices(kind: str, base: list[str]):
-        # returns per-copy index letters for one leg group
-        a, b, c, d = base
-        if kind == "one":
-            return a, a, b, b  # copies (1,2) share, (3,4) share
-        return a, b, b, a  # swap: copies (1,4) share, (2,3) share
+    def pair(kind: str, a: str, b: str):
+        # per-copy index letters of one leg group
+        return (a, a, b, b) if kind == "one" else (a, b, b, a)
 
-    uo = pair_indices(out_u, ["a", "b", "x", "y"])
-    do = pair_indices(out_d, ["c", "d", "z", "w"])
-    ui = pair_indices("s", ["e", "f", "p", "r"])
-    di = pair_indices("s", ["g", "h", "s", "t"])
-    subs = ",".join(f"{uo[i]}{do[i]}{ui[i]}{di[i]}" for i in range(4)) + "->"
-
-    total = 0j
-    for ek in t:
-        a1 = ek.conj().transpose(2, 3, 0, 1)  # E^dag as (out, in) tensor
-        a2 = ek.transpose(2, 3, 0, 1)  # E^T
-        for ekp in t:
-            a3 = ekp
-            a4 = ekp.conj()
-            total += np.einsum(subs, a1, a2, a3, a4)
-    return total
+    uo, do, ui, di = pair(out_u, "a", "b"), pair(out_d, "c", "d"), pair("s", "e", "f"), pair("s", "g", "h")
+    subs = ",".join(f"{kraus}{uo[i]}{do[i]}{ui[i]}{di[i]}" for i, kraus in enumerate("kkll")) + "->"
+    # copies: E^dag and E^T as (out, in) tensors, then E and E^*
+    adj = t.conj().transpose(0, 3, 4, 1, 2)
+    return complex(np.einsum(subs, adj, t.transpose(0, 3, 4, 1, 2), t, t.conj(), optimize=True))
 
 
 def channel_stats(channel: KrausChannel) -> ChannelStats:

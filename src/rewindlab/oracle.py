@@ -8,7 +8,11 @@ Two routes:
   <psi|P|psi> (U, U^dag, U*, U^T), so its average is the second moment; a
   gate applied only once appears twice and averages to the first moment.
 * :func:`mc_average_fidelity` samples explicit Haar unitaries and runs the
-  protocol, giving an estimate with a standard error.
+  protocol, giving an estimate with a standard error.  Noiseless samples
+  are batched state vectors; with a channel, samples are batched density
+  matrices folded into q^(2n) vectors with each qudit's (ket, bra) pair
+  adjacent, and a slot is one batched matmul by S (U x U*) on the
+  (pre, q^4, post) view, S the channel on the slot's two qudits.
 
 The twirl works on a four-copy vector with per-qudit copy blocks
 (c1, c2, c3, c4) = (rho-ket, rho-bra, proj-ket, proj-bra).  The rho block
@@ -51,6 +55,10 @@ if TYPE_CHECKING:
 # q=3 up to n=4 by default).
 DEFAULT_MAX_ELEMENTS = 1 << 26
 
+# Elements per sub-batch of noisy Monte-Carlo samples (folded density
+# vectors or per-sample slot matrices, whichever is larger).
+_DENSITY_BATCH_ELEMENTS = 1 << 20
+
 
 def weingarten_pair(d: int) -> tuple[float, float]:
     """Second-moment Weingarten weights (identity, transposition) at dimension d.
@@ -92,7 +100,8 @@ class SeededRng:
         return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=(index,)))
 
 
-def _check_channel_dim(channel: "KrausChannel", q: int) -> None:
+def check_channel_dim(channel: "KrausChannel", q: int) -> None:
+    """Refuse a channel whose qudit dimension is not the circuit's q."""
     if channel.qudit_dim() != q:
         raise InvalidParameterError(f"channel acts on qudits of dimension {channel.qudit_dim()}, circuit has q={q}")
 
@@ -215,7 +224,7 @@ def exact_twirl_fidelity(
     if not targeted <= layout.idle:
         raise TargetNotIdleError(f"target {sorted(targeted)} not idle")
     if channel is not None:
-        _check_channel_dim(channel, q)
+        check_channel_dim(channel, q)
 
     rho_sup, adj_sup = _pair_superops(channel, q)
     down, up, first = _gate_maps(q, rho_sup, adj_sup)
@@ -271,6 +280,15 @@ def _run_pure_batch(layout: GateLayout, targeted: frozenset[int], rng: np.random
     return np.einsum("bi,bi->b", proj.conj(), proj).real
 
 
+def _folded_superop(mats: np.ndarray, q: int) -> np.ndarray:
+    """rho -> E rho E^dag for each two-qudit E in ``mats`` (..., q^2, q^2), as
+    a (..., q^4, q^4) matrix on folded (ket_a, bra_a, ket_b, bra_b) blocks."""
+    lead = mats.shape[:-2]
+    ket = mats.reshape(lead + (q, 1) * 4)
+    bra = mats.conj().reshape(lead + (1, q) * 4)
+    return (ket * bra).reshape(lead + (q**4, q**4))
+
+
 def _run_density_batch(
     layout: GateLayout,
     targeted: frozenset[int],
@@ -278,47 +296,38 @@ def _run_density_batch(
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
-    """Noisy protocol: per-sample density-matrix evolution at q^(2n)."""
+    """Noisy protocol: batched folded density vectors, one matmul per slot."""
     n, q = layout.n, layout.q
     d = q * q
-    dim = q**n
     gate_ids = sorted({s.gate_id for s in layout.slots})
     gates = {gid: _haar_batch(d, count, rng) for gid in gate_ids}
 
-    def embed(mat: np.ndarray, first: int, width: int) -> np.ndarray:
-        return np.kron(np.eye(q ** (first - 1)), np.kron(mat, np.eye(q ** (n - first - width + 1))))
+    ops = channel.operators
+    if channel.arity == 1:
+        ops = [np.kron(ea, eb) for ea in ops for eb in ops]
+    sup = _folded_superop(np.stack(ops), q).sum(axis=0)
 
-    # Dense Kraus sets per gate position, built once.
-    slot_kraus: list[list[np.ndarray]] = []
-    for slot in layout.slots:
-        a = slot.qudits[0]
-        if channel.arity == 2:
-            slot_kraus.append([embed(e, a, 2) for e in channel.operators])
-        else:
-            ops = [embed(e, a, 1) for e in channel.operators]
-            ops_b = [embed(e, a + 1, 1) for e in channel.operators]
-            slot_kraus.append([eb @ ea for ea in ops for eb in ops_b])
-
-    mask = np.ones((q,) * n)
-    for t in targeted:
-        sel: list[object] = [slice(None)] * n
-        sel[t - 1] = slice(1, q)
-        mask[tuple(sel)] = 0.0
-    pdiag = mask.reshape(dim)
+    # the ket = bra entries, with every targeted qudit in |0>
+    eye = np.eye(q)
+    mask = np.ones(())
+    for i in range(1, n + 1):
+        mask = np.multiply.outer(mask, np.outer(eye[0], eye[0]) if i in targeted else eye)
+    mask = mask.reshape(-1)
 
     out = np.empty(count)
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    for b in range(count):
-        rho = rho0.copy()
-        for slot_i, slot in enumerate(layout.slots):
-            g = gates[slot.gate_id][b]
+    step = max(1, _DENSITY_BATCH_ELEMENTS // max(d**n, d**4))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        v = np.zeros((hi - lo, d**n), dtype=complex)
+        v[:, 0] = 1.0
+        for slot in layout.slots:
+            g = gates[slot.gate_id][lo:hi]
             if slot.dagger:
-                g = g.conj().T
-            gfull = embed(g, slot.qudits[0], 2)
-            rho = gfull @ rho @ gfull.conj().T
-            rho = sum(e @ rho @ e.conj().T for e in slot_kraus[slot_i])
-        out[b] = np.real(np.sum(pdiag * np.diagonal(rho)))
+                g = g.conj().transpose(0, 2, 1)
+            pre = d ** (slot.qudits[0] - 1)
+            mat = np.matmul(sup, _folded_superop(g, q))
+            v = np.matmul(mat[:, None], v.reshape(hi - lo, pre, d * d, -1)).reshape(hi - lo, -1)
+        out[lo:hi] = (v @ mask).real
     return out
 
 
@@ -332,8 +341,9 @@ def mc_average_fidelity(
 ) -> FidelityResult:
     """Monte-Carlo estimate of the averaged fidelity.
 
-    Noiseless runs use batched pure-state simulation; with a channel each
-    sample evolves a density matrix, capped at ``max_density_dim``.
+    Noiseless runs use batched pure-state simulation; with a channel the
+    samples evolve as batched folded density vectors, one matmul per slot,
+    with the state dimension q^n capped at ``max_density_dim``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -341,7 +351,7 @@ def mc_average_fidelity(
         rng = SeededRng(rng)
     targeted = target.qudits(layout.n)
     if channel is not None:
-        _check_channel_dim(channel, layout.q)
+        check_channel_dim(channel, layout.q)
         if layout.q ** layout.n > max_density_dim:
             raise TooLargeError("density-matrix simulation exceeds dimension cap")
 

@@ -129,12 +129,15 @@ def test_fidelity_noisy_closed_with_channel_file(runner, tmp_path):
 def test_channel_of_wrong_qudit_dimension_exits_2(runner, tmp_path):
     path = tmp_path / "depol3.json"
     path.write_text(depolarizing(3, 0.05).to_json())
-    for method in ("twirl", "mc"):
-        args = ["fidelity", "--q", "2", "--n", "3", "--channel", str(path), "--method", method, "--samples", "10"]
+    for method in ("twirl", "mc", "closed", "transfer", "sum"):
+        args = ["fidelity", "--q", "2", "--n", "4", "--channel", str(path), "--method", method, "--samples", "10"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"error: {method}: channel acts on qudits of dimension 3" in result.output
         assert isinstance(result.exception, SystemExit), result.exception
+    result = runner.invoke(main, ["compare", "--q", "2", "--n", "4", "--channel", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "fewer than two feasible methods" in result.output
 
 
 CHANNEL_FILES = {

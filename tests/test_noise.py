@@ -14,6 +14,7 @@ from rewindlab.noise import (
     random_channel,
     validate_channel,
 )
+from rewindlab.oracle import haar_unitary
 
 
 def test_validate_identity_ok():
@@ -169,6 +170,50 @@ def _dense_swap_ud(ops, q):
     value = total / q**3
     assert abs(value.imag) < 1e-12
     return value.real
+
+
+def _pairwise_fold_contraction(ops, q, out_u, out_d):
+    """Reference for the factorised contraction: one einsum per (k, k') pair."""
+    t = [e.reshape(q, q, q, q) for e in ops]
+
+    def pair(kind, a, b):
+        return (a, a, b, b) if kind == "one" else (a, b, b, a)
+
+    uo, do, ui, di = pair(out_u, "a", "b"), pair(out_d, "c", "d"), pair("s", "e", "f"), pair("s", "g", "h")
+    subs = ",".join(f"{uo[i]}{do[i]}{ui[i]}{di[i]}" for i in range(4)) + "->"
+    total = 0j
+    for ek in t:
+        a1 = ek.conj().transpose(2, 3, 0, 1)
+        a2 = ek.transpose(2, 3, 0, 1)
+        for ekp in t:
+            total += np.einsum(subs, a1, a2, ekp, ekp.conj())
+    return total
+
+
+def _stats_channels():
+    pair_u = haar_unitary(4, np.random.default_rng(3725))
+    rank3 = random_channel(4, 3, np.random.default_rng(4409))
+    return {
+        "dep2": depolarizing(2, 0.05),
+        "deph2": dephasing(2, 0.05),
+        "ad2": amplitude_damping(2, 0.05),
+        "rand2": random_channel(2, 2, np.random.default_rng(2301)),
+        "dep3": depolarizing(3, 0.05),
+        "pair2": KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * pair_u), arity=2),
+        "rank3-arity2": KrausChannel(rank3.operators, arity=2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stats_channels()))
+def test_beta_ud_match_pairwise_loop(name):
+    ch = _stats_channels()[name]
+    q = ch.qudit_dim()
+    two_site = list(ch.operators) if ch.arity == 2 else [np.kron(a, b) for a in ch.operators for b in ch.operators]
+    st = channel_stats(ch)
+    for got, out_u, out_d in ((st.beta_u, "one", "s"), (st.beta_d, "s", "one")):
+        want = _pairwise_fold_contraction(two_site, q, out_u, out_d) / q**3
+        assert abs(want.imag) < 1e-12
+        assert got == pytest.approx(want.real, abs=1e-12)
 
 
 def test_product_lift_identities():

@@ -7,6 +7,7 @@ import pytest
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 from rewindlab.errors import InvalidParameterError, TooLargeError
 from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing, identity_channel, random_channel
+from rewindlab import oracle
 from rewindlab.oracle import (
     SeededRng,
     exact_twirl_fidelity,
@@ -271,6 +272,92 @@ def test_twirl_matches_reference_contraction(shape, channel_name):
         layout = protocol_layout(CircuitShape(family, n, m, q), target)
         got = exact_twirl_fidelity(layout, target, channel=channel).value
         assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), str(target)
+
+
+# -- reference density-matrix Monte Carlo ---------------------------------
+#
+# The per-sample loop the batched folded evolution replaced: each sample
+# evolves a q^n x q^n density matrix with every gate and Kraus operator
+# embedded by np.kron into the full space.
+
+
+def _reference_density_batch(layout, targeted, channel, rng, count):
+    n, q = layout.n, layout.q
+    d = q * q
+    dim = q**n
+    gate_ids = sorted({s.gate_id for s in layout.slots})
+    gates = {gid: oracle._haar_batch(d, count, rng) for gid in gate_ids}
+
+    def embed(mat, first, width):
+        return np.kron(np.eye(q ** (first - 1)), np.kron(mat, np.eye(q ** (n - first - width + 1))))
+
+    slot_kraus = []
+    for slot in layout.slots:
+        a = slot.qudits[0]
+        if channel.arity == 2:
+            slot_kraus.append([embed(e, a, 2) for e in channel.operators])
+        else:
+            ops = [embed(e, a, 1) for e in channel.operators]
+            ops_b = [embed(e, a + 1, 1) for e in channel.operators]
+            slot_kraus.append([eb @ ea for ea in ops for eb in ops_b])
+
+    mask = np.ones((q,) * n)
+    for t in targeted:
+        sel = [slice(None)] * n
+        sel[t - 1] = slice(1, q)
+        mask[tuple(sel)] = 0.0
+    pdiag = mask.reshape(dim)
+
+    out = np.empty(count)
+    for b in range(count):
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+        for slot_i, slot in enumerate(layout.slots):
+            g = gates[slot.gate_id][b]
+            if slot.dagger:
+                g = g.conj().T
+            gfull = embed(g, slot.qudits[0], 2)
+            rho = gfull @ rho @ gfull.conj().T
+            rho = sum(e @ rho @ e.conj().T for e in slot_kraus[slot_i])
+        out[b] = np.real(np.sum(pdiag * np.diagonal(rho)))
+    return out
+
+
+DENSITY_CASES = [(shape, ch) for shape in CROSS_SHAPES for ch in ("ad", "rand", "pair")]
+DENSITY_CASES += [((Family.CONVOLUTIONAL, 3, 1, 3), "dep3")]
+
+
+@pytest.mark.parametrize("shape,channel_name", DENSITY_CASES, ids=lambda x: x if isinstance(x, str) else "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
+def test_density_mc_matches_reference_loop(shape, channel_name):
+    family, n, m, q = shape
+    channel = _channel(channel_name)
+    for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
+        layout = protocol_layout(CircuitShape(family, n, m, q), target)
+        targeted = target.qudits(n)
+        got = oracle._run_density_batch(layout, targeted, channel, np.random.default_rng(611), 6)
+        want = _reference_density_batch(layout, targeted, channel, np.random.default_rng(611), 6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
+
+
+def test_density_mc_sub_batches_leave_values_unchanged(monkeypatch):
+    target = RecycleTarget.pair(3, 1)
+    layout = protocol_layout(CircuitShape(Family.HYBRID, 4, 2, 2), target)
+    args = (layout, target.qudits(4), _channel("rand"))
+    whole = oracle._run_density_batch(*args, np.random.default_rng(17), 40)
+    monkeypatch.setattr(oracle, "_DENSITY_BATCH_ELEMENTS", 3 * 4**4)
+    split = oracle._run_density_batch(*args, np.random.default_rng(17), 40)
+    assert np.array_equal(whole, split)
+
+
+def test_noisy_mc_bit_identical_across_thread_counts(monkeypatch):
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REWINDLAB_THREADS", threads)
+        res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=SeededRng(29))
+        results.append((res.value, res.stderr))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("channel_name", ["rand", "pair"])
