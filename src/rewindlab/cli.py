@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.errors import InvalidParameterError, RewindlabError
+from rewindlab.errors import InvalidParameterError, RewindlabError, UnsupportedRegimeError
 from rewindlab.result import FidelityResult
 
 USAGE_EXIT = 1
@@ -110,6 +110,16 @@ def _closed_value(family: Family, q: int, n: int, m: int, target: RecycleTarget,
     return closedform.local_fidelity(q, n, m)
 
 
+def _check_channel_route(method: str, channel) -> None:
+    """Refuse an analytic route that would ignore part of the channel.
+
+    closed, transfer and sum read only (alpha, beta, recycled boundary);
+    an arity-2 channel also needs beta_u/beta_d, which none of them models.
+    """
+    if channel is not None and channel.arity == 2 and method in ("closed", "transfer", "sum"):
+        raise UnsupportedRegimeError("arity-2 channels are not modelled by this route; use twirl or mc")
+
+
 def _evaluate(
     method: str,
     family: Family,
@@ -126,6 +136,7 @@ def _evaluate(
 
     if channel is not None:
         oracle.check_channel_dim(channel, q)
+    _check_channel_route(method, channel)
     if method == "closed":
         return _closed_value(family, q, n, m, target, stats)
     if method in ("wall", "sum"):
@@ -249,9 +260,15 @@ def sweep(family, qs, ns, ms, target, method, alpha, beta, channel_path, samples
     except (ValueError, RewindlabError) as exc:
         raise click.UsageError(str(exc))
 
-    from rewindlab.errors import InvalidShapeError, InvalidTargetError, UnsupportedRegimeError
+    from rewindlab.errors import InvalidShapeError, InvalidTargetError
 
     channel, stats = _load_channel(channel_path, alpha, beta)
+    for name in methods:  # refuse here: a per-point refusal would read as an infeasible point
+        try:
+            _check_channel_route(name, channel)
+        except UnsupportedRegimeError as exc:
+            click.echo(f"error: {name}: {exc}", err=True)
+            sys.exit(COMPUTE_EXIT)
     rows = []
     for q in q_list:
         for n in n_list:

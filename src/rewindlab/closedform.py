@@ -7,6 +7,9 @@ sets of points where the wall touches the upper boundary line.  Path
 counts whose start or destination lies on that line use interior-only band
 constraints (endpoints exempt), which makes the touch decomposition a
 partition of the wall ensemble; each touch carries a factor (1+q^2)/q^2.
+The sum over touch sets is not enumerated: one backward recursion from the
+exit point gives the weight of the walls leaving each touch position, and
+every entry point shares it (:func:`_touch_sums`).
 
 Conventions pinned by cross-checking against the exhaustive lattice sums
 and the exact twirl:
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from rewindlab.circuits import RecycleTarget
 from rewindlab.errors import (
@@ -87,56 +89,52 @@ def conv_correlation(q: int, n: int, i: int, j: int) -> FidelityResult:
 # -- hybrid circuits ---------------------------------------------------------
 
 
-def _gamma(q: int) -> Fraction:
-    return Fraction(q * q + 1, q * q)
-
-
 @lru_cache(maxsize=1 << 14)
-def _seg_count(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> Fraction:
-    return Fraction(
-        count_paths_relaxed(LatticePoint(ax, ay), LatticePoint(bx, by), BandConstraint(s, t))
-    )
+def _seg_count(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> int:
+    return count_paths_relaxed(LatticePoint(ax, ay), LatticePoint(bx, by), BandConstraint(s, t))
 
 
-def _touch_sum(
+def _touch_sums(
     q: int,
-    start: tuple[int, int],
+    starts: list[tuple[int, int]],
     dest: tuple[int, int],
     off: int,
     band: tuple[int, int],
-    max_l: int,
-) -> Fraction:
-    """Touch-decomposed wall count from ``start`` to ``dest``.
+) -> list[Fraction]:
+    """Touch-decomposed wall counts from each of ``starts`` to ``dest``.
 
-    The wall may touch the line y = x + off at x-positions
-    i_1 < ... < i_l; between touches it stays strictly inside ``band``
-    (interior vertices only; start and destination are exempt).  Each
-    touch contributes a factor (1+q^2)/q^2 on top of the segment counts,
-    and the step off a touch is forced rightward, so segments between
-    touches run from (i_j + 1, i_j + off) to the next touch.
+    A wall may touch the line y = x + off at x-positions i_1 < ... < i_l
+    between its start's x and dest's x; between touches it stays strictly
+    inside ``band`` (start, touches and destination exempt).  Each touch
+    carries gamma = (1+q^2)/q^2, and the step off a touch is forced
+    rightward.  The walls leaving a touch at x = b do not depend on the
+    start, so their weight is computed once, backward from ``dest``:
+
+        h[b] = gamma * (seg(b+1, b+off -> dest) + sum_{c>b} seg(b+1, b+off -> c, c+off) h[c])
+        sum(start) = seg(start -> dest) + sum_{b >= start x} seg(start -> b, b+off) h[b]
+
+    h[b] is kept as the integer scale * h[b], so only the final sums are
+    fractions.
     """
     s, t = band
-    gamma = _gamma(q)
-    sx, sy = start
     dx, dy = dest
-    total = _seg_count(sx, sy, dx, dy, s, t)  # no touches
-    if max_l < 1:
-        return total
-    candidates = [x for x in range(sx, dx)]
-    for l in range(1, min(max_l, len(candidates)) + 1):
-        for touches in combinations(candidates, l):
-            w = _seg_count(sx, sy, touches[0], touches[0] + off, s, t)
-            if w == 0:
-                continue
-            for a, b in zip(touches, touches[1:]):
-                w *= _seg_count(a + 1, a + off, b, b + off, s, t)
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            w *= _seg_count(touches[-1] + 1, touches[-1] + off, dx, dy, s, t)
-            total += gamma**l * w
-    return total
+    lo = min((sx for sx, _ in starts), default=dx)
+    qq = q * q
+    scale = qq ** (dx - lo)  # h[b]'s denominator divides qq^(dx - b)
+    h: dict[int, int] = {}
+    for b in range(dx - 1, lo - 1, -1):
+        acc = _seg_count(b + 1, b + off, dx, dy, s, t) * scale
+        for c in range(b + 1, dx):
+            acc += _seg_count(b + 1, b + off, c, c + off, s, t) * h[c]
+        h[b] = (qq + 1) * acc // qq  # exact, as scale * h[b] is an integer
+    return [
+        Fraction(
+            _seg_count(sx, sy, dx, dy, s, t) * scale
+            + sum(_seg_count(sx, sy, b, b + off, s, t) * h[b] for b in range(sx, dx)),
+            scale,
+        )
+        for sx, sy in starts
+    ]
 
 
 def hybrid_general(q: int, n: int, m: int) -> Fraction:
@@ -147,8 +145,10 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
     sweep e (e = 1..m-1).  Within a class the wall shapes are monotone
     paths to the exit corner (m, m+n-2) whose interior stays in the band
     0 <= y-x <= n-3 except for touches of the line y = x+n-2, each worth
-    (1+q^2)/q^2.  Valid for n >= 4; n = 3 collapses the band and is
-    covered by its own closed form in :func:`hybrid_fidelity`.
+    (1+q^2)/q^2.  All n+m-3 entry points share one backward touch
+    recursion, O(m^2 + (n+m) m) segment counts in all.  Valid for n >= 4;
+    n = 3 collapses the band and is covered by its own closed form in
+    :func:`hybrid_fidelity`.
     """
     if n < 4:
         raise UnsupportedRegimeError("general hybrid sum needs n >= 4")
@@ -159,17 +159,14 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
     off = n - 2
     band = (0, n - 3)
 
-    dest = (m, m + off)
+    # walls entering on the sweep axis at sweep e, then on the first-gate
+    # axis at height k + 1
+    starts = [(e, e - 1) for e in range(1, m)] + [(1, k + 1) for k in range(0, n - 2)]
+    weights = [w ** (n + 2 * m - 2 - 2 * e) * Fraction(q) ** (n - 3) for e in range(1, m)]
+    weights += [Fraction(1, q ** (2 * m)) * lam ** (n + 2 * m - 4 - k) for k in range(0, n - 2)]
+    counts = _touch_sums(q, starts, (m, m + off), off, band)
     total = Fraction(1, q) * lam ** (n - 2)  # all-ONE configuration
-    # walls entering on the sweep axis at sweep e
-    for e in range(1, m):
-        weight = w ** (n + 2 * m - 2 - 2 * e) * Fraction(q) ** (n - 3)
-        total += weight * _touch_sum(q, (e, e - 1), dest, off, band, max_l=m - e)
-    # walls entering on the first-gate axis at height k + 1
-    for k in range(0, n - 2):
-        weight = Fraction(1, q ** (2 * m)) * lam ** (n + 2 * m - 4 - k)
-        total += weight * _touch_sum(q, (1, k + 1), dest, off, band, max_l=m - 1)
-    return total
+    return total + sum(weight * count for weight, count in zip(weights, counts))
 
 
 def hybrid_special(q: int, n: int, m: int) -> Fraction:
@@ -219,16 +216,15 @@ def local_shallow(q: int, n: int, m: int) -> Fraction:
     Every wall is pinned to the active corner: it enters on the first layer
     at distance 2k+3 below the last qudit (k = 0..(m-4)/2, weight
     (q/(1+q^2))^(m-2) q^(m-4-2k)) or ascends straight (weight lambda^(m-2)),
-    and exits through the fixed point (1, n-4) after m-2 free layers.
+    and exits through the fixed point (1, n-4) after m-2 free layers.  The
+    entry points share one backward touch recursion, O(m^2) segment counts.
     """
     lam = _lam(q)
     w = Fraction(q, q * q + 1)
-    dest = (1, n - 4)
+    ks = range(0, (m - 4) // 2 + 1)
+    counts = _touch_sums(q, [(-k, n - m - 1 + k) for k in ks], (1, n - 4), n - 4, (-1, n - 5))
     total = lam ** (m - 2)
-    for k in range(0, (m - 4) // 2 + 1):
-        weight = w ** (m - 2) * Fraction(q) ** (m - 4 - 2 * k)
-        total += weight * _touch_sum(q, (-k, n - m - 1 + k), dest, n - 4, (-1, n - 5), max_l=m)
-    return total
+    return total + sum(w ** (m - 2) * Fraction(q) ** (m - 4 - 2 * k) * count for k, count in zip(ks, counts))
 
 
 def local_deep(q: int, n: int, m: int) -> Fraction:

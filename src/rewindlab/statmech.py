@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import NoisyRuleError, TooLargeError, UnsupportedFamilyError
+from rewindlab.errors import NoisyRuleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
 from rewindlab.parallel import map_chunks
 from rewindlab.result import FidelityResult
 
@@ -192,6 +192,9 @@ class DiagramLattice:
     start_nodes: list[int]  # wall entry candidates (boundary-adjacent nodes)
     end_marker: tuple[int, int]  # fixed-S corner all walls terminate at
     forbidden: list[tuple[int, int]]  # fixed-ONE positions (first-moment gates)
+    # recycled wires whose first gate is not rewound: the lattice has no
+    # node to carry their dressed boundary
+    undressed: int
 
     @property
     def free_node_count(self) -> int:
@@ -220,6 +223,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
     }
     global_const = Fraction(1)
     forbidden: list[tuple[int, int]] = []
+    undressed = 0
     seen_pairs: dict[tuple[int, int], int] = {}
 
     inv_q = Fraction(1, q)
@@ -256,6 +260,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                 elif st == "recycled":
                     global_const *= inv_q
                     carried[w] = "fixed_one_t"
+                    undressed += 1
                 elif st == "fixed_one":
                     carried[w] = "fixed_one"  # (1/q) * <Phi|Phi> = 1
                 else:
@@ -285,6 +290,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
         start_nodes=start_nodes,
         end_marker=(max_row + 1, 1),
         forbidden=forbidden,
+        undressed=undressed,
     )
 
 
@@ -402,7 +408,9 @@ def partition_sum_exhaustive(
 
     Noiseless sums are exact: every configuration weight is q^a (1+q^2)^b,
     so the vectorized sweep only accumulates exponent pairs.  Noisy rules
-    evaluate in float64.
+    evaluate in float64.  A dressed recycled boundary on a lattice with
+    undressed recycled wires raises :class:`UnsupportedRegimeError`: the
+    sum would leave that boundary out and return a wrong number.
     """
     g = lattice.free_node_count
     if g > node_cap:
@@ -410,6 +418,11 @@ def partition_sum_exhaustive(
     q = lattice.q
     noisy = rule is not None and rule.noisy
     alpha, beta, recycled = _rule_params(rule)
+    if lattice.undressed and recycled != (1, 1):
+        raise UnsupportedRegimeError(
+            f"{lattice.undressed} recycled wire(s) first meet a non-rewound gate; "
+            "their dressed boundary is not modelled"
+        )
 
     if g == 0:
         value = lattice.global_const if not noisy else float(lattice.global_const)

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from rewindlab.cli import main
-from rewindlab.noise import KrausChannel, depolarizing
+from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing
+from rewindlab.oracle import haar_unitary
 
 
 @pytest.fixture
@@ -138,6 +139,36 @@ def test_channel_of_wrong_qudit_dimension_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["compare", "--q", "2", "--n", "4", "--channel", str(path)])
     assert result.exit_code == 2, result.output
     assert "fewer than two feasible methods" in result.output
+
+
+def test_arity2_channel_refused_by_analytic_routes(runner, tmp_path):
+    # these routes ignore beta_u/beta_d; they used to agree on a wrong value
+    u = haar_unitary(4, np.random.default_rng(3725))
+    path = tmp_path / "pair.json"
+    path.write_text(KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * u), arity=2).to_json())
+    for method in ("closed", "transfer", "sum"):
+        result = runner.invoke(main, ["fidelity", "--q", "2", "--n", "4", "--channel", str(path), "--method", method])
+        assert result.exit_code == 2, result.output
+        assert f"error: {method}: arity-2 channels" in result.output
+    result = runner.invoke(main, ["compare", "--q", "2", "--n", "4", "--channel", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "fewer than two feasible methods" in result.output
+    out = tmp_path / "pair.csv"
+    args = ["sweep", "--n", "3:5", "--channel", str(path), "--method", "twirl,closed", "--output", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "error: closed: arity-2 channels" in result.output
+    assert not out.exists()
+
+
+def test_noisy_sum_undressed_recycled_wire_exits_2(runner, tmp_path):
+    path = tmp_path / "ad.json"
+    path.write_text(amplitude_damping(2, 0.05).to_json())
+    args = ["fidelity", "--family", "local", "--n", "4", "--m", "4", "--channel", str(path), "--method", "sum"]
+    result = runner.invoke(main, args + ["--target", "3"])
+    assert result.exit_code == 2, result.output
+    assert "error: sum: " in result.output
+    assert runner.invoke(main, args + ["--target", "1"]).exit_code == 0
 
 
 CHANNEL_FILES = {

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 from rewindlab.closedform import (
+    HYBRID_M_CAP,
+    HYBRID_N_CAP,
+    _seg_count,
     conv_correlation,
     conv_fidelity,
     hybrid_fidelity,
@@ -118,16 +123,109 @@ def test_conv_index_errors():
 # -- hybrid ------------------------------------------------------------------
 
 
+def _reference_touch_sum(q, start, dest, off, band, max_l):
+    """Touch sum by enumerating every ordered touch set (the former closed form).
+
+    One product of segment counts per subset of touch positions, each
+    weighted by ((1+q^2)/q^2)^(number of touches).
+    """
+    s, t = band
+    gamma = Fraction(q * q + 1, q * q)
+    sx, sy = start
+    dx, dy = dest
+    total = Fraction(_seg_count(sx, sy, dx, dy, s, t))  # no touches
+    if max_l < 1:
+        return total
+    candidates = [x for x in range(sx, dx)]
+    for l in range(1, min(max_l, len(candidates)) + 1):
+        for touches in combinations(candidates, l):
+            w = _seg_count(sx, sy, touches[0], touches[0] + off, s, t)
+            if w == 0:
+                continue
+            for a, b in zip(touches, touches[1:]):
+                w *= _seg_count(a + 1, a + off, b, b + off, s, t)
+                if w == 0:
+                    break
+            if w == 0:
+                continue
+            w *= _seg_count(touches[-1] + 1, touches[-1] + off, dx, dy, s, t)
+            total += gamma**l * w
+    return total
+
+
+def _reference_hybrid_general(q, n, m):
+    lam_q, w = lam(q), Fraction(q, q * q + 1)
+    off, band, dest = n - 2, (0, n - 3), (m, m + n - 2)
+    total = Fraction(1, q) * lam_q ** (n - 2)
+    for e in range(1, m):
+        weight = w ** (n + 2 * m - 2 - 2 * e) * Fraction(q) ** (n - 3)
+        total += weight * _reference_touch_sum(q, (e, e - 1), dest, off, band, max_l=m - e)
+    for k in range(0, n - 2):
+        weight = Fraction(1, q ** (2 * m)) * lam_q ** (n + 2 * m - 4 - k)
+        total += weight * _reference_touch_sum(q, (1, k + 1), dest, off, band, max_l=m - 1)
+    return total
+
+
+def _reference_local(q, n, m):
+    if m >= n:
+        return _reference_hybrid_general(q, n, (m - n) // 2 + 1)
+    w = Fraction(q, q * q + 1)
+    total = lam(q) ** (m - 2)
+    for k in range(0, (m - 4) // 2 + 1):
+        weight = w ** (m - 2) * Fraction(q) ** (m - 4 - 2 * k)
+        count = _reference_touch_sum(q, (-k, n - m - 1 + k), (1, n - 4), n - 4, (-1, n - 5), max_l=m)
+        total += weight * count
+    return total
+
+
+def _assert_exact(value, reference):
+    assert type(value) is Fraction and value == reference
+
+
+def test_touch_recursion_matches_enumeration_on_sweep_grids():
+    # the hybrid and local sweeps of the formula_curves benchmark workload
+    for q in (2, 3):
+        for n in range(4, 25):
+            for m in range(1, 8):
+                _assert_exact(hybrid_general(q, n, m), _reference_hybrid_general(q, n, m))
+        for n in range(4, 25, 2):
+            for m in range(2, 21, 2):
+                _assert_exact(local_fidelity(q, n, m).value, _reference_local(q, n, m))
+
+
+def test_touch_recursion_matches_enumeration_at_caps():
+    n, m = HYBRID_N_CAP, HYBRID_M_CAP
+    for q in (2, 3, 5):
+        reference = _reference_hybrid_general(q, n, m)
+        _assert_exact(hybrid_general(q, n, m), reference)
+        # the deepest local circuit the closed form reaches is this hybrid tower
+        _assert_exact(local_fidelity(q, n, 2 * m + n - 2).value, reference)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(4, HYBRID_N_CAP),
+    st.integers(1, HYBRID_M_CAP),
+    st.integers(1, HYBRID_N_CAP // 2 - 1),
+)
+def test_touch_recursion_matches_enumeration_property(q, n, m, layers):
+    _assert_exact(hybrid_general(q, n, m), _reference_hybrid_general(q, n, m))
+    n_local = n - n % 2
+    for m_local in (min(2 * layers, n_local - 2), n_local + 2 * (m - 1)):  # shallow, deep
+        _assert_exact(local_fidelity(q, n_local, m_local).value, _reference_local(q, n_local, m_local))
+
+
 def test_hybrid_specials_match_general():
     for q in (2, 3, 5):
         for m, nmin in ((1, 4), (2, 5), (3, 6)):
-            for n in range(nmin, 13):
+            for n in range(nmin, HYBRID_N_CAP + 1):
                 assert hybrid_special(q, n, m) == hybrid_general(q, n, m), (q, n, m)
 
 
 def test_hybrid_m1_equals_convolutional():
     for q in (2, 3):
-        for n in range(4, 13):
+        for n in range(4, HYBRID_N_CAP + 1):
             assert hybrid_general(q, n, 1) == conv_fidelity(q, n, RecycleTarget.single(1)).value
 
 

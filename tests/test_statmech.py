@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.errors import TooLargeError, UnsupportedFamilyError
-from rewindlab.noise import channel_stats, depolarizing
+import numpy as np
+
+from rewindlab.errors import TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.noise import amplitude_damping, channel_stats, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import (
     DiagramLattice,
@@ -287,3 +289,26 @@ def test_noisy_exhaustive_matches_twirl_all_families():
         lat = lattice_from_circuit(layout, target)
         tw = exact_twirl_fidelity(layout, target, channel=channel).value
         assert partition_sum_exhaustive(lat, rule).value == pytest.approx(tw, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [amplitude_damping(2, 0.05), random_channel(2, 2, np.random.default_rng(2301))],
+    ids=["ad2", "rand2"],
+)
+def test_noisy_sum_refuses_undressed_recycled_wire(channel):
+    # local n=4 m=4: qudit 3 first meets a non-rewound gate, so the lattice
+    # has no node for its dressed boundary; qudit 1 keeps its node
+    stats = channel_stats(channel)
+    rule = TrivalentRule(2, alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary)
+    shape = CircuitShape(Family.LOCAL, 4, 4, 2)
+    lost = make_lattice(Family.LOCAL, 4, 4, 2, RecycleTarget.single(3))
+    assert lost.undressed == 1
+    with pytest.raises(UnsupportedRegimeError):
+        partition_sum_exhaustive(lost, rule)
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(shape, target)
+    kept = lattice_from_circuit(layout, target)
+    assert kept.undressed == 0
+    tw = exact_twirl_fidelity(layout, target, channel=channel).value
+    assert partition_sum_exhaustive(kept, rule).value == pytest.approx(tw, abs=1e-12)
