@@ -263,7 +263,7 @@ def sweep(family, qs, ns, ms, target, method, alpha, beta, channel_path, samples
     from rewindlab.errors import InvalidShapeError, InvalidTargetError
 
     channel, stats = _load_channel(channel_path, alpha, beta)
-    for name in methods:  # refuse here: a per-point refusal would read as an infeasible point
+    for name in methods:  # refuse here: a per-point refusal would only skip the method's rows
         try:
             _check_channel_route(name, channel)
         except UnsupportedRegimeError as exc:
@@ -275,26 +275,31 @@ def sweep(family, qs, ns, ms, target, method, alpha, beta, channel_path, samples
             for m in m_list:
                 try:
                     tgt.validate(n)
-                    for name in methods:
+                except InvalidTargetError:
+                    continue  # infeasible grid point (index range)
+                for name in methods:
+                    try:
                         res = _evaluate(name, fam, q, n, m, tgt, channel, stats, samples, seed)
-                        rows.append(
-                            {
-                                "family": fam.value,
-                                "q": q,
-                                "n": n,
-                                "m": m,
-                                "target": str(tgt),
-                                "method": name,
-                                "value": _decimal(res.value),
-                                "stderr": "" if res.stderr is None else f"{res.stderr:.9g}",
-                                "seed": seed,
-                            }
-                        )
-                except (InvalidShapeError, InvalidTargetError, UnsupportedRegimeError):
-                    continue  # infeasible grid point (parity, index range)
-                except RewindlabError as exc:
-                    click.echo(f"error at q={q} n={n} m={m}: {exc}", err=True)
-                    sys.exit(COMPUTE_EXIT)
+                    except (InvalidShapeError, InvalidTargetError):
+                        break  # infeasible grid point (parity, index range)
+                    except UnsupportedRegimeError:
+                        continue  # this method does not cover the point; the others may
+                    except RewindlabError as exc:
+                        click.echo(f"error at q={q} n={n} m={m}: {exc}", err=True)
+                        sys.exit(COMPUTE_EXIT)
+                    rows.append(
+                        {
+                            "family": fam.value,
+                            "q": q,
+                            "n": n,
+                            "m": m,
+                            "target": str(tgt),
+                            "method": name,
+                            "value": _decimal(res.value),
+                            "stderr": "" if res.stderr is None else f"{res.stderr:.9g}",
+                            "seed": seed,
+                        }
+                    )
 
     if fmt == "csv":
         buf = io.StringIO()

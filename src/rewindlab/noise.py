@@ -26,6 +26,9 @@ import numpy as np
 from rewindlab.errors import InvalidParameterError, NotTracePreservingError
 
 COMPLETENESS_TOL = 1e-10
+# Largest entry of Phi*(|0><0|) - |0><0| for which the adjoint channel
+# counts as fixing |0><0|; the recycled boundary is then exactly (1, 1).
+BOUNDARY_FIXED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,9 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
         p0 = np.zeros((q, q), dtype=complex)
         p0[0, 0] = 1.0
         dressed = sum(e.conj().T @ p0 @ e for e in ops)
-        r_one = float(np.real(np.trace(dressed)))
-        r_s = float(np.real(dressed[0, 0]))
+        if np.max(np.abs(dressed - p0)) > BOUNDARY_FIXED_TOL:
+            r_one = float(np.real(np.trace(dressed)))
+            r_s = float(np.real(dressed[0, 0]))
 
     def as_real(z, name):
         if abs(np.imag(z)) > 1e-12:

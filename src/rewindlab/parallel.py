@@ -1,8 +1,8 @@
-"""Thread-cap plumbing shared by the chunked evaluators.
+"""Thread-cap plumbing for the chunked Monte-Carlo sampler.
 
 REWINDLAB_THREADS caps internal parallelism; chunk results are always
-combined in index order, so sums are bit-identical however many workers
-run.
+combined in index order, so estimates are bit-identical however many
+workers run.
 """
 
 from __future__ import annotations

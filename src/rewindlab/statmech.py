@@ -13,7 +13,8 @@ plus per-node boundary overlap factors.  This module builds that lattice
 directly from a gate layout by walking each qudit's wire upward
 (:func:`lattice_from_circuit`) and evaluates it three ways:
 
-* :func:`partition_sum_exhaustive` -- sum over all 2^#nodes assignments,
+* :func:`partition_sum_exhaustive` -- the sum over all assignments,
+  contracted node by node from the top over a frontier of pending spins,
 * :func:`single_wall_fidelity` -- sum over the single-domain-wall
   configurations only (every nonzero-weight noiseless configuration),
 * :func:`transfer_fidelity` -- 2x2 transfer-matrix product for the
@@ -35,14 +36,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
-import numpy as np
-
 from rewindlab.circuits import GateLayout, RecycleTarget
 from rewindlab.errors import NoisyRuleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
-from rewindlab.parallel import map_chunks
 from rewindlab.result import FidelityResult
 
-DEFAULT_NODE_CAP = 24
+# Largest frontier partition_sum_exhaustive builds; see its docstring.
+FRONTIER_STATE_CAP = 1 << 16
 
 
 class S2Spin(IntEnum):
@@ -148,10 +147,6 @@ def _ratio(num, den):
     if isinstance(num, Fraction) or isinstance(num, int):
         return Fraction(num, den)
     return num / den
-
-
-def trivalent_weight(rule: TrivalentRule, spins: tuple[S2Spin, S2Spin, S2Spin]):
-    return rule.weight(spins)
 
 
 # -- lattice construction --------------------------------------------------
@@ -374,164 +369,67 @@ def config_weight(lattice: DiagramLattice, spins, rule: TrivalentRule | None = N
     return total
 
 
-def _factor_exponents(value: Fraction, q: int, qq1: int) -> tuple[int, int] | None:
-    """Write value as q^a * (1+q^2)^b; None when impossible."""
-    if value == 0:
-        return None
-    num, den = value.numerator, value.denominator
-    a = b = 0
-    for base, sign in ((q, 1), (qq1, 1)):
-        while num % base == 0:
-            num //= base
-            if base == q:
-                a += sign
-            else:
-                b += sign
-    for base in (q, qq1):
-        while den % base == 0:
-            den //= base
-            if base == q:
-                a -= 1
-            else:
-                b -= 1
-    if num == 1 and den == 1:
-        return a, b
-    return None
+def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
+    """Averaged fidelity as the full configuration sum, by variable elimination.
 
+    Nodes are summed top-down (descending index, the order of
+    :func:`enumerate_support`), so a node's upward legs are resolved when
+    it is reached.  The frontier maps the spins of summed nodes that a
+    lower node still reads to the total weight above them.  Each node
+    multiplies in its table entry, skips zero entries, drops every spin it
+    is the lowest reader of, and keeps its own spin only if a lower node
+    reads it.  Noiseless sums are exact Fractions, noisy ones float64.
 
-def partition_sum_exhaustive(
-    lattice: DiagramLattice,
-    rule: TrivalentRule | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> FidelityResult:
-    """Averaged fidelity as the full 2^#nodes configuration sum.
-
-    Noiseless sums are exact: every configuration weight is q^a (1+q^2)^b,
-    so the vectorized sweep only accumulates exponent pairs.  Noisy rules
-    evaluate in float64.  A dressed recycled boundary on a lattice with
+    A frontier of more than ``FRONTIER_STATE_CAP`` = 2^16 states raises
+    :class:`TooLargeError`.  After node j is summed, the frontier holds
+    spins of the g - j summed nodes that the j lower nodes (two legs each)
+    still read: at most min(g - j, 2j) <= 2g/3 spins.  The cap therefore
+    refuses no lattice of up to 24 nodes, the most a 2^g enumeration
+    takes, even with noise, which lifts the trivalent zeros that prune
+    the frontier; noiseless frontiers stay near n states.  A dressed recycled boundary on a lattice with
     undressed recycled wires raises :class:`UnsupportedRegimeError`: the
     sum would leave that boundary out and return a wrong number.
     """
-    g = lattice.free_node_count
-    if g > node_cap:
-        raise TooLargeError(f"{g} free nodes exceeds cap {node_cap}")
-    q = lattice.q
     noisy = rule is not None and rule.noisy
-    alpha, beta, recycled = _rule_params(rule)
+    alpha, beta, recycled = _rule_params(rule if noisy else None)
     if lattice.undressed and recycled != (1, 1):
         raise UnsupportedRegimeError(
             f"{lattice.undressed} recycled wire(s) first meet a non-rewound gate; "
             "their dressed boundary is not modelled"
         )
+    cast = float if noisy else Fraction
+    lowest_reader: dict[int, int] = {}
+    for node in reversed(lattice.nodes):
+        for leg in node.legs:
+            if leg.ref is not None:
+                lowest_reader[leg.ref] = node.index
 
-    if g == 0:
-        value = lattice.global_const if not noisy else float(lattice.global_const)
-        return FidelityResult(value=value, method="sum")
-
-    # Per-node case tables over (own bit, leg1 bit, leg2 bit).
-    tables = []
-    for node in lattice.nodes:
-        table = _node_weight_table(node, q, alpha, beta, recycled)
+    # frontier keys are bitmasks over node indices
+    frontier = {0: cast(1)}
+    for node in reversed(lattice.nodes):
+        j = node.index
+        table = _node_weight_table(node, lattice.q, alpha, beta, recycled)
+        own = 1 << j if j in lowest_reader else 0
+        done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
+        keep = ~sum(1 << ref for ref in done)
+        # nonzero (own-spin bit, weight) pairs per resolved (leg-1, leg-2) spins
+        entries = {(e1, e2): [] for _, e1, e2 in table}
+        for (tau, e1, e2), f in table.items():
+            if f != 0:
+                entries[e1, e2].append((own * tau, cast(f)))
         leg1, leg2 = node.legs
-        ref1 = leg1.ref if leg1.ref is not None else node.index
-        ref2 = leg2.ref if leg2.ref is not None else node.index
-        cases = np.empty(8, dtype=object)
-        for own in (0, 1):
-            for b1 in (0, 1):
-                for b2 in (0, 1):
-                    e1 = int(leg1.eff) if leg1.ref is None else b1
-                    e2 = int(leg2.eff) if leg2.ref is None else b2
-                    cases[own | b1 << 1 | b2 << 2] = table[(own, e1, e2)]
-        tables.append((node.index, ref1, ref2, cases))
-
-    qq1 = 1 + q * q
-    chunk = 1 << 20
-    total_configs = 1 << g
-
-    if not noisy:
-        exps = []
-        for _, _, _, cases in tables:
-            pair_list = [_factor_exponents(Fraction(c), q, qq1) for c in cases]
-            if any(p is None and c != 0 for p, c in zip(pair_list, cases)):
-                return _exhaustive_fraction_loop(lattice, rule, tables)
-            exps.append(
-                (
-                    np.array([p is None for p in pair_list], dtype=bool),
-                    np.array([0 if p is None else p[0] for p in pair_list], dtype=np.int32),
-                    np.array([0 if p is None else p[1] for p in pair_list], dtype=np.int32),
-                )
-            )
-        # exponents stay well within +-4096, so (a, b) packs into one int64
-        off, mod = 4096, 8192
-
-        def exponent_chunk(bounds):
-            lo, hi = bounds
-            idx = np.arange(lo, hi, dtype=np.uint32)
-            a_tot = np.zeros(idx.shape, dtype=np.int32)
-            b_tot = np.zeros(idx.shape, dtype=np.int32)
-            alive = np.ones(idx.shape, dtype=bool)
-            for (node_i, r1, r2, _), (zero, a_arr, b_arr) in zip(tables, exps):
-                case = (
-                    ((idx >> node_i) & 1)
-                    | (((idx >> r1) & 1) << 1)
-                    | (((idx >> r2) & 1) << 2)
-                ).astype(np.intp)
-                alive &= ~zero[case]
-                a_tot += a_arr[case]
-                b_tot += b_arr[case]
-            key = (a_tot[alive].astype(np.int64) + off) * mod + (b_tot[alive] + off)
-            uniq, counts = np.unique(key, return_counts=True)
-            return uniq.tolist(), counts.tolist()
-
-        bounds = [(lo, min(lo + chunk, total_configs)) for lo in range(0, total_configs, chunk)]
-        acc: dict[int, int] = {}
-        for uniq, counts in map_chunks(exponent_chunk, bounds):
-            for k, c in zip(uniq, counts):
-                acc[k] = acc.get(k, 0) + c
-        total = Fraction(0)
-        for key, count in acc.items():
-            a = key // mod - off
-            b = key % mod - off
-            total += count * Fraction(q) ** int(a) * Fraction(qq1) ** int(b)
-        return FidelityResult(value=total * lattice.global_const, method="sum")
-
-    gc = float(lattice.global_const)
-    float_tables = [np.array([float(c) for c in cases]) for _, _, _, cases in tables]
-
-    def weight_chunk(bounds):
-        lo, hi = bounds
-        idx = np.arange(lo, hi, dtype=np.uint32)
-        w = np.full(idx.shape, gc)
-        for (node_i, r1, r2, _), fcases in zip(tables, float_tables):
-            case = (
-                ((idx >> node_i) & 1)
-                | (((idx >> r1) & 1) << 1)
-                | (((idx >> r2) & 1) << 2)
-            ).astype(np.intp)
-            w *= fcases[case]
-        return float(np.sum(w))
-
-    bounds = [(lo, min(lo + chunk, total_configs)) for lo in range(0, total_configs, chunk)]
-    value = 0.0
-    for part in map_chunks(weight_chunk, bounds):
-        value += part
-    return FidelityResult(value=value, method="sum")
-
-
-def _exhaustive_fraction_loop(lattice, rule, tables) -> FidelityResult:
-    g = lattice.free_node_count
-    if g > 16:
-        raise TooLargeError("exact fallback limited to 16 nodes")
-    total = Fraction(0)
-    for idx in range(1 << g):
-        w = Fraction(1)
-        for node_i, r1, r2, cases in tables:
-            case = ((idx >> node_i) & 1) | (((idx >> r1) & 1) << 1) | (((idx >> r2) & 1) << 2)
-            w *= cases[case]
-            if w == 0:
-                break
-        total += w
-    return FidelityResult(value=total * lattice.global_const, method="sum")
+        summed: dict = {}
+        for key, w in frontier.items():
+            e1 = int(leg1.eff) if leg1.ref is None else key >> leg1.ref & 1
+            e2 = int(leg2.eff) if leg2.ref is None else key >> leg2.ref & 1
+            rest = key & keep
+            for bit, f in entries[e1, e2]:
+                summed[rest | bit] = summed.get(rest | bit, 0) + w * f
+        if len(summed) > FRONTIER_STATE_CAP:
+            raise TooLargeError(f"frontier of {len(summed)} states at node {j} exceeds cap {FRONTIER_STATE_CAP}")
+        frontier = summed
+    total = sum(frontier.values(), cast(0))
+    return FidelityResult(value=total * cast(lattice.global_const), method="sum")
 
 
 def enumerate_support(lattice: DiagramLattice):

@@ -171,6 +171,27 @@ def test_noisy_sum_undressed_recycled_wire_exits_2(runner, tmp_path):
     assert runner.invoke(main, args + ["--target", "1"]).exit_code == 0
 
 
+def test_sweep_skips_only_the_refusing_method(runner, tmp_path):
+    path = tmp_path / "ad.json"
+    path.write_text(amplitude_damping(2, 0.05).to_json())
+    out = tmp_path / "rows.csv"
+    args = ["sweep", "--family", "local", "--n", "4", "--m", "2:6", "--target", "3", "--channel", str(path)]
+    result = runner.invoke(main, args + ["--method", "sum,twirl", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # m = 2, 4, 6; the sum refuses the undressed recycled wire at every point
+    assert [(r["m"], r["method"]) for r in rows] == [("2", "twirl"), ("4", "twirl"), ("6", "twirl")]
+
+
+def test_fidelity_sum_reaches_hybrid_cap(runner):
+    args = ["fidelity", "--family", "hybrid", "--n", "24", "--m", "12", "--method", "closed,sum"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    exact = [line.split("(= ")[1].rstrip(")") for line in result.output.strip().splitlines()]
+    assert len(exact) == 2 and exact[0] == exact[1]
+
+
 CHANNEL_FILES = {
     "malformed_json": ('{"operators": [', 1),
     "missing_operators": ('{"arity": 1}', 1),

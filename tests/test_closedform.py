@@ -327,6 +327,26 @@ def test_noisy_sup_matches_transfer_asymptote():
     assert sup == pytest.approx(far, abs=1e-12)
 
 
+def test_noisy_closed_dephasing_takes_formula_branch(monkeypatch):
+    from rewindlab import statmech
+    from rewindlab.noise import channel_stats, dephasing
+
+    stats = channel_stats(dephasing(2, 0.05))
+    expected = {
+        (n, i): float(transfer_fidelity(2, n, RecycleTarget.single(i), stats=stats).value)
+        for n in (4, 7, 11)
+        for i in (1, 2, 3)
+    }
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("dephasing must not need the chain product")
+
+    monkeypatch.setattr(statmech, "transfer_fidelity", no_chain)
+    for (n, i), chain in expected.items():
+        value = noisy_conv_fidelity(2, n, stats.alpha, stats.beta, RecycleTarget.single(i), stats.recycled_boundary)
+        assert value.value == pytest.approx(chain, abs=1e-12)
+
+
 def test_noisy_divergence_guard():
     with pytest.raises(DivergentEigenvalueError):
         noisy_conv_fidelity(2, 5, 1.0, 1.2)

@@ -65,6 +65,15 @@ def test_dephasing_alpha():
     assert stats.recycled_s == pytest.approx(1.0)
 
 
+def test_recycled_boundary_undressed_exactly_when_adjoint_fixes_projector():
+    # rounding used to leave dephasing at (0.9999999999999999, ...), which an
+    # exact (1, 1) test reads as dressed
+    for channel in (dephasing(2, 0.05), dephasing(3, 0.05), identity_channel(2)):
+        assert channel_stats(channel).recycled_boundary == (1.0, 1.0)
+    assert channel_stats(amplitude_damping(2, 0.05)).recycled_boundary != (1.0, 1.0)
+    assert channel_stats(depolarizing(2, 0.05)).recycled_boundary[1] == pytest.approx(0.975, abs=1e-12)
+
+
 def test_amplitude_damping():
     stats = channel_stats(amplitude_damping(2, 0.1))
     g = 0.1

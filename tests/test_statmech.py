@@ -1,12 +1,14 @@
 from fractions import Fraction
 
-import pytest
-
-from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rewindlab.errors import TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
-from rewindlab.noise import amplitude_damping, channel_stats, depolarizing, random_channel
+from rewindlab import statmech
+from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
+from rewindlab.closedform import hybrid_fidelity, local_fidelity
+from rewindlab.errors import TargetNotIdleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.noise import amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import (
     DiagramLattice,
@@ -20,7 +22,6 @@ from rewindlab.statmech import (
     partition_sum_exhaustive,
     single_wall_fidelity,
     transfer_fidelity,
-    trivalent_weight,
 )
 
 ONE, S = S2Spin.ONE, S2Spin.S
@@ -36,21 +37,21 @@ def make_lattice(family, n, m, q, target):
 
 def test_solid_rule_noiseless():
     rule = TrivalentRule(2)
-    assert trivalent_weight(rule, (ONE, ONE, ONE)) == 1
-    assert trivalent_weight(rule, (S, S, S)) == 1
-    assert trivalent_weight(rule, (ONE, ONE, S)) == 0
-    assert trivalent_weight(rule, (S, S, ONE)) == 0
+    assert rule.weight((ONE, ONE, ONE)) == 1
+    assert rule.weight((S, S, S)) == 1
+    assert rule.weight((ONE, ONE, S)) == 0
+    assert rule.weight((S, S, ONE)) == 0
     for t3 in (ONE, S):
-        assert trivalent_weight(rule, (ONE, S, t3)) == Fraction(2, 5)
-        assert trivalent_weight(rule, (S, ONE, t3)) == Fraction(2, 5)
+        assert rule.weight((ONE, S, t3)) == Fraction(2, 5)
+        assert rule.weight((S, ONE, t3)) == Fraction(2, 5)
 
 
 def test_dotted_rule():
     rule = TrivalentRule(3, kind="dotted")
-    assert trivalent_weight(rule, (ONE, ONE, ONE)) == 1
-    assert trivalent_weight(rule, (ONE, S, ONE)) == Fraction(1, 3)
-    assert trivalent_weight(rule, (S, S, ONE)) == Fraction(1, 9)
-    assert trivalent_weight(rule, (ONE, ONE, S)) == 0
+    assert rule.weight((ONE, ONE, ONE)) == 1
+    assert rule.weight((ONE, S, ONE)) == Fraction(1, 3)
+    assert rule.weight((S, S, ONE)) == Fraction(1, 9)
+    assert rule.weight((ONE, ONE, S)) == 0
 
 
 def test_noisy_rules_reduce_to_noiseless():
@@ -62,20 +63,20 @@ def test_noisy_rules_reduce_to_noiseless():
         for t1 in (ONE, S):
             for t2 in (ONE, S):
                 for t3 in (ONE, S):
-                    assert trivalent_weight(rule, (t1, t2, t3)) == trivalent_weight(clean, (t1, t2, t3))
+                    assert rule.weight((t1, t2, t3)) == clean.weight((t1, t2, t3))
 
 
 def test_noisy_rule_values():
     q = 2
     rule = TrivalentRule(q, alpha=0.9, beta=0.8)
     d4 = q**4 - 1
-    assert trivalent_weight(rule, (S, S, S)) == pytest.approx((0.72 * 16 - 1) / d4)
-    assert trivalent_weight(rule, (S, ONE, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
-    assert trivalent_weight(rule, (ONE, S, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
+    assert rule.weight((S, S, S)) == pytest.approx((0.72 * 16 - 1) / d4)
+    assert rule.weight((S, ONE, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
+    assert rule.weight((ONE, S, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
     general = TrivalentRule(q, beta=0.7, beta_u=0.9, beta_d=0.8)
-    assert trivalent_weight(general, (ONE, S, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
-    assert trivalent_weight(general, (S, ONE, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
-    assert trivalent_weight(general, (S, S, ONE)) == pytest.approx(4 * (1 - 0.7) / d4)
+    assert general.weight((ONE, S, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
+    assert general.weight((S, ONE, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
+    assert general.weight((S, S, ONE)) == pytest.approx(4 * (1 - 0.7) / d4)
 
 
 def test_wall_weights_combination():
@@ -147,10 +148,16 @@ def test_all_one_configuration_weight():
     assert w == Fraction(1, q) * Fraction(q * q, q * q + 1) ** (n - 2)
 
 
-def test_node_cap():
+def test_frontier_cap(monkeypatch):
+    # hybrid n=6 m=3 peaks at 4 frontier states without noise, 8 with
     lat = make_lattice(Family.HYBRID, 6, 3, 2, RecycleTarget.single(1))
+    monkeypatch.setattr(statmech, "FRONTIER_STATE_CAP", 4)
+    assert partition_sum_exhaustive(lat).value == Fraction(226401, 390625)
     with pytest.raises(TooLargeError):
-        partition_sum_exhaustive(lat, node_cap=4)
+        partition_sum_exhaustive(lat, TrivalentRule(2, alpha=0.9, beta=0.9))
+    monkeypatch.setattr(statmech, "FRONTIER_STATE_CAP", 3)
+    with pytest.raises(TooLargeError):
+        partition_sum_exhaustive(lat)
 
 
 def test_support_is_upper_right_closed():
@@ -270,19 +277,16 @@ def test_noisy_transfer_matches_twirl():
         assert tr == pytest.approx(tw, abs=1e-12)
 
 
-def test_exhaustive_thread_cap_bit_identical(monkeypatch):
-    lat = make_lattice(Family.HYBRID, 6, 3, 2, RecycleTarget.single(1))
-    monkeypatch.setenv("REWINDLAB_THREADS", "1")
-    sequential = partition_sum_exhaustive(lat).value
-    monkeypatch.setenv("REWINDLAB_THREADS", "4")
-    threaded = partition_sum_exhaustive(lat).value
-    assert sequential == threaded
+def _rule(channel):
+    stats = channel_stats(channel)
+    return TrivalentRule(
+        channel.qudit_dim(), alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary
+    )
 
 
 def test_noisy_exhaustive_matches_twirl_all_families():
     channel = depolarizing(2, 0.04)
-    stats = channel_stats(channel)
-    rule = TrivalentRule(2, alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary)
+    rule = _rule(channel)
     target = RecycleTarget.single(1)
     for family, n, m in [(Family.CONVOLUTIONAL, 5, 1), (Family.HYBRID, 4, 2), (Family.LOCAL, 4, 4)]:
         layout = protocol_layout(CircuitShape(family, n, m, 2), target)
@@ -299,8 +303,7 @@ def test_noisy_exhaustive_matches_twirl_all_families():
 def test_noisy_sum_refuses_undressed_recycled_wire(channel):
     # local n=4 m=4: qudit 3 first meets a non-rewound gate, so the lattice
     # has no node for its dressed boundary; qudit 1 keeps its node
-    stats = channel_stats(channel)
-    rule = TrivalentRule(2, alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary)
+    rule = _rule(channel)
     shape = CircuitShape(Family.LOCAL, 4, 4, 2)
     lost = make_lattice(Family.LOCAL, 4, 4, 2, RecycleTarget.single(3))
     assert lost.undressed == 1
@@ -312,3 +315,193 @@ def test_noisy_sum_refuses_undressed_recycled_wire(channel):
     assert kept.undressed == 0
     tw = exact_twirl_fidelity(layout, target, channel=channel).value
     assert partition_sum_exhaustive(kept, rule).value == pytest.approx(tw, abs=1e-12)
+
+
+def test_noisy_sum_dephasing_undressed_recycled_wire_matches_twirl():
+    # dephasing fixes |0><0|, so the undressed wire carries no dressing to lose
+    channel = dephasing(2, 0.05)
+    target = RecycleTarget.single(3)
+    layout = protocol_layout(CircuitShape(Family.LOCAL, 4, 4, 2), target)
+    lattice = lattice_from_circuit(layout, target)
+    assert lattice.undressed == 1
+    tw = exact_twirl_fidelity(layout, target, channel=channel).value
+    assert partition_sum_exhaustive(lattice, _rule(channel)).value == pytest.approx(tw, abs=1e-12)
+
+
+# -- frontier contraction against the 2^g enumeration --------------------------
+
+
+def _factor_exponents(value: Fraction, q: int) -> tuple[int, int] | None:
+    """Write value as q^a (1+q^2)^b; None when impossible."""
+    num, den = value.numerator, value.denominator
+    exps = []
+    for base in (q, 1 + q * q):
+        e = 0
+        while num % base == 0:
+            num //= base
+            e += 1
+        while den % base == 0:
+            den //= base
+            e -= 1
+        exps.append(e)
+    return tuple(exps) if num == den == 1 else None
+
+
+def _reference_partition_sum(lattice, rule=None, chunk=1 << 20):
+    """Sum over all 2^g spin assignments (the former evaluator), test-only.
+
+    Configuration i sets node k's spin to bit k of i.  Noiseless weights
+    are all q^a (1+q^2)^b, so the sweep counts exponent pairs and the sum
+    is exact; noisy weights are float64 products.
+    """
+    q, g = lattice.q, lattice.free_node_count
+    noisy = rule is not None and rule.noisy
+    alpha, beta, recycled = statmech._rule_params(rule)
+    tables = []  # (node, leg-1 bit, leg-2 bit, cases indexed own | e1 << 1 | e2 << 2)
+    for node in lattice.nodes:
+        table = statmech._node_weight_table(node, q, alpha, beta, recycled)
+        leg1, leg2 = node.legs
+        cases = [
+            table[own, int(leg1.eff) if leg1.ref is None else b1, int(leg2.eff) if leg2.ref is None else b2]
+            for b2 in (0, 1)
+            for b1 in (0, 1)
+            for own in (0, 1)
+        ]
+        r1 = node.index if leg1.ref is None else leg1.ref
+        r2 = node.index if leg2.ref is None else leg2.ref
+        tables.append((node.index, r1, r2, cases))
+    if noisy:
+        float_cases = [np.array([float(c) for c in cases]) for *_, cases in tables]
+    else:
+        factored = [[None if c == 0 else _factor_exponents(Fraction(c), q) for c in cases] for *_, cases in tables]
+        assert all(f is not None for fs, (*_, cases) in zip(factored, tables) for f, c in zip(fs, cases) if c != 0)
+        zero = [np.array([f is None for f in fs]) for fs in factored]
+        exp_a = [np.array([0 if f is None else f[0] for f in fs]) for fs in factored]
+        exp_b = [np.array([0 if f is None else f[1] for f in fs]) for fs in factored]
+    value, counts = 0.0, {}
+    for lo in range(0, 1 << g, chunk):
+        idx = np.arange(lo, min(lo + chunk, 1 << g), dtype=np.int64)
+        cases_at = [
+            ((idx >> i) & 1) | (((idx >> r1) & 1) << 1) | (((idx >> r2) & 1) << 2) for i, r1, r2, _ in tables
+        ]
+        if noisy:
+            w = np.full(idx.shape, float(lattice.global_const))
+            for fc, case in zip(float_cases, cases_at):
+                w *= fc[case]
+            value += float(np.sum(w))
+            continue
+        alive = np.ones(idx.shape, dtype=bool)
+        a = np.zeros(idx.shape, dtype=np.int64)
+        b = np.zeros(idx.shape, dtype=np.int64)
+        for z, ea, eb, case in zip(zero, exp_a, exp_b, cases_at):
+            alive &= ~z[case]
+            a += ea[case]
+            b += eb[case]
+        pairs, number = np.unique(np.stack([a[alive], b[alive]], axis=1), axis=0, return_counts=True)
+        for (pa, pb), c in zip(pairs.tolist(), number.tolist()):
+            counts[pa, pb] = counts.get((pa, pb), 0) + c
+    if noisy:
+        return value
+    total = sum(c * Fraction(q) ** pa * Fraction(1 + q * q) ** pb for (pa, pb), c in counts.items())
+    return total * lattice.global_const
+
+
+def _all_targets(n):
+    singles = [RecycleTarget.single(i) for i in range(1, n)]
+    prefixes = [RecycleTarget.prefix(k) for k in range(1, n)]
+    pairs = [RecycleTarget.pair(i, j) for i in range(2, n) for j in range(1, i)]
+    return singles + prefixes + pairs
+
+
+def _covered_shapes():
+    """(family, n, m, q, target) of every noiseless lattice the test suite and
+    the benchmark grids sum, deduplicated; all have at most 20 nodes."""
+    one = RecycleTarget.single(1)
+    shapes = set()
+    for q in (2, 3):
+        for n in range(3, 8):
+            shapes.update((Family.CONVOLUTIONAL, n, 1, q, t) for t in _all_targets(n))
+        for n in range(8, 17):
+            shapes.update((Family.CONVOLUTIONAL, n, 1, q, t) for t in (one, RecycleTarget.single(2)))
+        for n in range(3, 8):
+            for m in range(1, 5):
+                if (n - 2) * m <= 20:
+                    shapes.add((Family.HYBRID, n, m, q, one))
+        shapes.update((Family.HYBRID, 3, m, q, one) for m in (5, 6))
+        for n, m in [(4, 2), (4, 4), (4, 6), (4, 8), (4, 10), (6, 4), (6, 6), (6, 8), (8, 4), (8, 6)]:
+            shapes.add((Family.LOCAL, n, m, q, one))
+    shapes.update((Family.CONVOLUTIONAL, n, 1, 2, one) for n in range(17, 21))
+    shapes.update((Family.LOCAL, 4, m, 2, RecycleTarget.single(t)) for m in (2, 4, 6) for t in (2, 3))
+    shapes.update([(Family.HYBRID, 6, 5, 2, one), (Family.HYBRID, 4, 10, 3, one)])
+    return sorted(shapes, key=lambda s: (s[0].value, s[1], s[2], s[3], str(s[4])))
+
+
+def test_frontier_equals_reference_on_covered_lattices():
+    for family, n, m, q, target in _covered_shapes():
+        lattice = make_lattice(family, n, m, q, target)
+        assert lattice.free_node_count <= 20
+        value = partition_sum_exhaustive(lattice).value
+        assert isinstance(value, Fraction)
+        assert value == _reference_partition_sum(lattice), (family, n, m, q, target)
+
+
+NOISY_CHANNELS = {
+    "dep2": depolarizing(2, 0.05),
+    "ad2": amplitude_damping(2, 0.05),
+    "rand2": random_channel(2, 2, np.random.default_rng(2301)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_CHANNELS))
+def test_noisy_frontier_matches_reference(name):
+    rule = _rule(NOISY_CHANNELS[name])
+    shapes = [(Family.CONVOLUTIONAL, n, 1, t) for n in (4, 5, 9) for t in (1, 2, 3)]
+    shapes += [(Family.HYBRID, n, m, 1) for n, m in [(4, 1), (4, 2), (5, 2), (6, 3), (4, 4)]]
+    shapes += [(Family.LOCAL, 4, m, t) for m in (2, 4, 6) for t in (1, 2)] + [(Family.LOCAL, 6, 6, 1)]
+    for family, n, m, t in shapes:
+        lattice = make_lattice(family, n, m, 2, RecycleTarget.single(t))
+        value = partition_sum_exhaustive(lattice, rule).value
+        assert isinstance(value, float)
+        assert value == pytest.approx(_reference_partition_sum(lattice, rule), abs=1e-12), (family, n, m, t)
+
+
+SMALL_SHAPES = st.one_of(
+    st.tuples(st.just(Family.CONVOLUTIONAL), st.integers(3, 18), st.just(1)),
+    st.integers(3, 10).flatmap(
+        lambda n: st.tuples(st.just(Family.HYBRID), st.just(n), st.integers(1, max(1, 16 // (n - 2))))
+    ),
+    st.tuples(st.just(Family.LOCAL), st.sampled_from([4, 6, 8]), st.sampled_from([2, 4, 6, 8])),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SMALL_SHAPES, st.sampled_from([2, 3]), st.integers(1, 17), st.floats(0.8, 1.0), st.floats(0.8, 1.0))
+def test_frontier_equals_reference_property(shape, q, i, alpha, beta):
+    family, n, m = shape
+    target = RecycleTarget.single(1 + (i - 1) % (n - 1))
+    try:
+        lattice = make_lattice(family, n, m, q, target)
+    except TargetNotIdleError:
+        assume(False)
+    assume(lattice.free_node_count <= 16)
+    value = partition_sum_exhaustive(lattice).value
+    assert isinstance(value, Fraction) and value == _reference_partition_sum(lattice)
+    rule = TrivalentRule(q, alpha=alpha, beta=beta)
+    assert partition_sum_exhaustive(lattice, rule).value == pytest.approx(
+        _reference_partition_sum(lattice, rule), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "family,q,n,m,closed",
+    [
+        (Family.HYBRID, 2, 24, 12, hybrid_fidelity),
+        (Family.HYBRID, 3, 24, 12, hybrid_fidelity),
+        (Family.LOCAL, 2, 24, 24, local_fidelity),
+        (Family.LOCAL, 2, 24, 46, local_fidelity),
+    ],
+)
+def test_sum_equals_closed_form_at_caps(family, q, n, m, closed):
+    lattice = make_lattice(family, n, m, q, RecycleTarget.single(1))
+    assert lattice.free_node_count > 24
+    assert partition_sum_exhaustive(lattice).value == closed(q, n, m).value
