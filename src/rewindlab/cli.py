@@ -4,6 +4,15 @@ Subcommands expose every computation route and emit plain rows or
 CSV/JSON sweeps; identical command lines with identical seeds produce
 byte-identical output.  Exit codes: 0 ok, 1 usage error, 2 computation
 error, 3 tolerance failure in ``compare``.
+
+``fidelity``, ``sweep`` and ``compare`` share one route table: the
+method names in :data:`ROUTES`, :func:`_refusal` for every refusal that
+holds at all grid points (which route answers which family, target and
+noise), and :func:`_evaluate`, which calls the library for one
+:class:`CircuitShape`.  ``fidelity`` and ``sweep`` refuse up front with
+exit 2; ``compare`` skips a refusing route and names it on stderr.  An
+unknown method is a usage error, and so is a shape the family rejects
+(``sweep`` skips such grid points instead).
 """
 
 from __future__ import annotations
@@ -17,8 +26,11 @@ from fractions import Fraction
 import click
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.errors import InvalidParameterError, RewindlabError, UnsupportedRegimeError
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError, RewindlabError, UnsupportedRegimeError
 from rewindlab.result import FidelityResult
+
+# Every computation route, in the order ``compare`` tries them.
+ROUTES = ("closed", "wall", "sum", "transfer", "twirl", "mc")
 
 USAGE_EXIT = 1
 COMPUTE_EXIT = 2
@@ -90,89 +102,104 @@ def _load_channel(path: str | None, alpha: float | None, beta: float | None):
     return None, None
 
 
-def _closed_value(family: Family, q: int, n: int, m: int, target: RecycleTarget, stats):
-    from rewindlab import closedform
+def _refusal(method: str, family: Family, target: RecycleTarget, channel, stats) -> str | None:
+    """Why ``method`` cannot answer this family, target and noise at any grid point.
 
-    if stats is not None:
-        if family is not Family.CONVOLUTIONAL:
-            raise RewindlabError("noisy closed forms exist for the convolutional family only")
-        return closedform.noisy_conv_fidelity(
-            q, n, stats.alpha, stats.beta, target, stats.recycled_boundary
-        )
-    if family is Family.CONVOLUTIONAL:
-        return closedform.conv_fidelity(q, n, target)
-    if family is Family.HYBRID:
-        if target.kind != "single" or target.indices[0] != 1:
-            raise RewindlabError("hybrid closed forms cover recycling the first qudit")
-        return closedform.hybrid_fidelity(q, n, m)
-    if target.kind != "single" or target.indices[0] != 1:
-        raise RewindlabError("local closed forms cover recycling the first qudit")
-    return closedform.local_fidelity(q, n, m)
-
-
-def _check_channel_route(method: str, channel) -> None:
-    """Refuse an analytic route that would ignore part of the channel.
-
-    closed, transfer and sum read only (alpha, beta, recycled boundary);
-    an arity-2 channel also needs beta_u/beta_d, which none of them models.
+    Returns None when the route answers.  Every refusal here guards a
+    library function that would otherwise return a number from another
+    model; checks that depend on the point (sizes, caps, the qudit
+    dimension) stay with the library.
     """
-    if channel is not None and channel.arity == 2 and method in ("closed", "transfer", "sum"):
-        raise UnsupportedRegimeError("arity-2 channels are not modelled by this route; use twirl or mc")
+    noisy = stats is not None
+    if method in ("closed", "transfer", "sum") and channel is not None and channel.arity == 2:
+        return "arity-2 channels are not modelled by this route; use twirl or mc"
+    if method == "closed" and noisy and family is not Family.CONVOLUTIONAL:
+        return "noisy closed forms exist for the convolutional family only"
+    if method == "closed" and noisy and target.kind != "single":
+        return "the noisy closed form covers single-qudit targets"
+    if method == "closed" and family is not Family.CONVOLUTIONAL and target != RecycleTarget.single(1):
+        return f"{family.value} closed forms cover recycling the first qudit"
+    if method == "wall" and noisy:
+        return "single-wall sums are noiseless only"
+    if method == "transfer" and family is not Family.CONVOLUTIONAL:
+        return "transfer matrices cover the convolutional family only"
+    if method in ("twirl", "mc") and noisy and channel is None:
+        return "bare --alpha/--beta give no Kraus operators to simulate; use --channel"
+    return None
+
+
+def _refuse(methods: list[str], family: Family, target: RecycleTarget, channel, stats) -> None:
+    """Exit 2 on the first method that refuses, before any computation."""
+    for name in methods:
+        reason = _refusal(name, family, target, channel, stats)
+        if reason is not None:
+            click.echo(f"error: {name}: {reason}", err=True)
+            sys.exit(COMPUTE_EXIT)
 
 
 def _evaluate(
-    method: str,
-    family: Family,
-    q: int,
-    n: int,
-    m: int,
-    target: RecycleTarget,
-    channel,
-    stats,
-    samples: int,
-    seed: int,
+    method: str, shape: CircuitShape, target: RecycleTarget, channel, stats, samples: int, seed: int
 ) -> FidelityResult:
-    from rewindlab import oracle, statmech
+    """One route at one point; :func:`_refusal` has already admitted the method."""
+    from rewindlab import closedform, oracle, statmech
 
+    q, n = shape.q, shape.n
     if channel is not None:
         oracle.check_channel_dim(channel, q)
-    _check_channel_route(method, channel)
+    a, b, rb = (1, 1, (1, 1)) if stats is None else (stats.alpha, stats.beta, stats.recycled_boundary)
     if method == "closed":
-        return _closed_value(family, q, n, m, target, stats)
-    if method in ("wall", "sum"):
-        shape = CircuitShape(family, n, m, q)
-        lattice = statmech.lattice_from_circuit(protocol_layout(shape, target), target)
-        if method == "wall":
-            if stats is not None:
-                raise RewindlabError("single-wall sums are noiseless only")
-            return statmech.single_wall_fidelity(lattice)
-        rule = None
         if stats is not None:
-            rule = statmech.TrivalentRule(
-                q, alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary
-            )
-        return statmech.partition_sum_exhaustive(lattice, rule)
+            return closedform.noisy_conv_fidelity(q, n, a, b, target, rb)
+        if shape.family is Family.CONVOLUTIONAL:
+            return closedform.conv_fidelity(q, n, target)
+        if shape.family is Family.HYBRID:
+            return closedform.hybrid_fidelity(q, n, shape.m)
+        return closedform.local_fidelity(q, n, shape.m)
     if method == "transfer":
-        if family is not Family.CONVOLUTIONAL:
-            raise RewindlabError("transfer matrices cover the convolutional family only")
-        a = stats.alpha if stats is not None else 1
-        b = stats.beta if stats is not None else 1
-        rb = stats.recycled_boundary if stats is not None else (1, 1)
         return statmech.transfer_fidelity(q, n, target, a, b, rb)
-    shape = CircuitShape(family, n, m, q)
     layout = protocol_layout(shape, target)
     if method == "twirl":
         return oracle.exact_twirl_fidelity(layout, target, channel=channel)
     if method == "mc":
         return oracle.mc_average_fidelity(layout, target, channel=channel, samples=samples, rng=seed)
-    raise RewindlabError(f"unknown method {method!r}")
+    lattice = statmech.lattice_from_circuit(layout, target)
+    if method == "wall":
+        return statmech.single_wall_fidelity(lattice)
+    rule = None if stats is None else statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
+    return statmech.partition_sum_exhaustive(lattice, rule)
 
 
-def _parse_common(family: str, target: str, n: int, m: int):
-    fam = Family(family)
-    tgt = RecycleTarget.parse(target)
-    tgt.validate(n)
-    return fam, tgt
+def _parse_methods(text: str) -> list[str]:
+    methods = [s.strip() for s in text.split(",") if s.strip()]
+    if not methods:
+        raise click.UsageError("no methods given")
+    for name in methods:
+        if name not in ROUTES:
+            raise click.UsageError(f"unknown method {name!r}; choose from {','.join(ROUTES)}")
+    return methods
+
+
+def _route_options(sampled: bool):
+    """Family, target and noise options, plus --samples/--seed if ``sampled``."""
+    options = [
+        click.option("--family", type=click.Choice([f.value for f in Family]), default="conv"),
+        click.option("--target", default="1", show_default=True, help="i | prefix:k | pair:i,j"),
+        click.option("--alpha", type=float, default=None, help="channel statistic alpha (with --beta)"),
+        click.option("--beta", type=float, default=None),
+        click.option("--channel", "channel_path", type=click.Path(exists=True), default=None, help="Kraus channel JSON file"),
+    ]
+    if sampled:
+        options += [
+            click.option("--samples", type=int, default=100_000, show_default=True),
+            click.option("--seed", type=int, default=0, show_default=True),
+        ]
+
+    def apply(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return apply
 
 
 @click.group(cls=_Group)
@@ -181,45 +208,37 @@ def main():
 
 
 @main.command()
-@click.option("--family", type=click.Choice([f.value for f in Family]), default="conv")
+@_route_options(sampled=True)
 @click.option("--q", "q", type=int, default=2, show_default=True)
 @click.option("--n", "n", type=int, default=None)
 @click.option("--m", "m", type=int, default=1, show_default=True)
-@click.option("--target", default="1", show_default=True, help="i | prefix:k | pair:i,j")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None, help="JSON circuit description {family, n, m, q, target}")
-@click.option("--method", default="closed", show_default=True, help="comma list of closed,wall,sum,twirl,mc,transfer")
-@click.option("--alpha", type=float, default=None, help="channel statistic alpha (with --beta)")
-@click.option("--beta", type=float, default=None)
-@click.option("--channel", "channel_path", type=click.Path(exists=True), default=None, help="Kraus channel JSON file")
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def fidelity(family, q, n, m, target, spec_path, method, alpha, beta, channel_path, samples, seed):
+@click.option("--method", default="closed", show_default=True, help=f"comma list of {','.join(ROUTES)}")
+def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, spec_path, method):
     """Print one row per requested method."""
     try:
         if spec_path is not None:
             with open(spec_path) as fh:
                 shape, spec_target = CircuitShape.from_json(fh.read())
-            fam, q, n, m = shape.family, shape.q, shape.n, shape.m
-            tgt = spec_target if spec_target is not None else RecycleTarget.parse(target)
-            tgt.validate(n)
+        elif n is None:
+            raise click.UsageError("--n is required without --spec")
         else:
-            if n is None:
-                raise click.UsageError("--n is required without --spec")
-            fam, tgt = _parse_common(family, target, n, m)
-        methods = [s.strip() for s in method.split(",") if s.strip()]
-        if not methods:
-            raise click.UsageError("no methods given")
+            shape, spec_target = CircuitShape(Family(family), n, m, q), None
+        tgt = spec_target if spec_target is not None else RecycleTarget.parse(target)
+        tgt.validate(shape.n)
     except (RewindlabError, ValueError) as exc:
         raise click.UsageError(str(exc))
+    methods = _parse_methods(method)
     channel, stats = _load_channel(channel_path, alpha, beta)
+    _refuse(methods, shape.family, tgt, channel, stats)
     for name in methods:
         try:
-            res = _evaluate(name, fam, q, n, m, tgt, channel, stats, samples, seed)
+            res = _evaluate(name, shape, tgt, channel, stats, samples, seed)
         except RewindlabError as exc:
             click.echo(f"error: {name}: {exc}", err=True)
             sys.exit(COMPUTE_EXIT)
         exact = _exact(res.value)
-        row = f"{fam.value} q={q} n={n} m={m} target={tgt} {name}: {_decimal(res.value)}"
+        row = f"{shape.family.value} q={shape.q} n={shape.n} m={shape.m} target={tgt} {name}: {_decimal(res.value)}"
         if exact:
             row += f" (= {exact})"
         if res.stderr is not None:
@@ -228,20 +247,14 @@ def fidelity(family, q, n, m, target, spec_path, method, alpha, beta, channel_pa
 
 
 @main.command()
-@click.option("--family", type=click.Choice([f.value for f in Family]), default="conv")
+@_route_options(sampled=True)
 @click.option("--q", "qs", default="2", show_default=True, help="comma list of qudit dimensions")
 @click.option("--n", "ns", required=True, help="range a:b or comma list")
 @click.option("--m", "ms", default="1", show_default=True, help="range a:b or comma list")
-@click.option("--target", default="1", show_default=True)
-@click.option("--method", default="closed", show_default=True)
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--channel", "channel_path", type=click.Path(exists=True), default=None)
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--method", default="closed", show_default=True, help=f"comma list of {','.join(ROUTES)}")
 @click.option("--output", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-def sweep(family, qs, ns, ms, target, method, alpha, beta, channel_path, samples, seed, output, fmt):
+def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, method, output, fmt):
     """Write rows family,q,n,m,target,method,value,stderr,seed over a grid."""
 
     def parse_range(text: str) -> list[int]:
@@ -254,34 +267,25 @@ def sweep(family, qs, ns, ms, target, method, alpha, beta, channel_path, samples
         fam = Family(family)
         tgt = RecycleTarget.parse(target)
         q_list, n_list, m_list = parse_range(qs), parse_range(ns), parse_range(ms)
-        methods = [s.strip() for s in method.split(",") if s.strip()]
-        if not methods or not q_list or not n_list or not m_list:
-            raise click.UsageError("empty sweep ranges or method list")
+        if not q_list or not n_list or not m_list:
+            raise click.UsageError("empty sweep ranges")
     except (ValueError, RewindlabError) as exc:
         raise click.UsageError(str(exc))
-
-    from rewindlab.errors import InvalidShapeError, InvalidTargetError
-
+    methods = _parse_methods(method)
     channel, stats = _load_channel(channel_path, alpha, beta)
-    for name in methods:  # refuse here: a per-point refusal would only skip the method's rows
-        try:
-            _check_channel_route(name, channel)
-        except UnsupportedRegimeError as exc:
-            click.echo(f"error: {name}: {exc}", err=True)
-            sys.exit(COMPUTE_EXIT)
+    _refuse(methods, fam, tgt, channel, stats)
     rows = []
     for q in q_list:
         for n in n_list:
             for m in m_list:
                 try:
+                    shape = CircuitShape(fam, n, m, q)
                     tgt.validate(n)
-                except InvalidTargetError:
-                    continue  # infeasible grid point (index range)
+                except (InvalidShapeError, InvalidTargetError):
+                    continue  # infeasible grid point (shape rules, index range)
                 for name in methods:
                     try:
-                        res = _evaluate(name, fam, q, n, m, tgt, channel, stats, samples, seed)
-                    except (InvalidShapeError, InvalidTargetError):
-                        break  # infeasible grid point (parity, index range)
+                        res = _evaluate(name, shape, tgt, channel, stats, samples, seed)
                     except UnsupportedRegimeError:
                         continue  # this method does not cover the point; the others may
                     except RewindlabError as exc:
@@ -350,40 +354,32 @@ def noise_stats(channel_path):
 
 
 @main.command()
-@click.option("--family", type=click.Choice([f.value for f in Family]), default="conv")
+@_route_options(sampled=False)
 @click.option("--q", "q", type=int, default=2)
 @click.option("--n", "n", type=int, required=True)
 @click.option("--m", "m", type=int, default=1)
-@click.option("--target", default="1")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--channel", "channel_path", type=click.Path(exists=True), default=None)
 @click.option("--tolerance", type=float, default=1e-9, show_default=True)
-def compare(family, q, n, m, target, alpha, beta, channel_path, tolerance):
-    """Run every feasible deterministic method and report the max deviation."""
-    from rewindlab.errors import TooLargeError
+def compare(family, target, alpha, beta, channel_path, q, n, m, tolerance):
+    """Run every feasible deterministic method and report the max deviation.
 
+    Each route left out is named on stderr with the reason.
+    """
     try:
-        fam, tgt = _parse_common(family, target, n, m)
+        shape, tgt = CircuitShape(Family(family), n, m, q), RecycleTarget.parse(target)
+        tgt.validate(n)
     except (RewindlabError, ValueError) as exc:
         raise click.UsageError(str(exc))
     channel, stats = _load_channel(channel_path, alpha, beta)
-    candidates = ["closed", "sum", "twirl"]
-    if stats is None:
-        candidates.insert(1, "wall")
-    if fam is Family.CONVOLUTIONAL:
-        candidates.append("transfer")
-    if channel is None and stats is not None:
-        candidates.remove("twirl")  # bare (alpha, beta) has no Kraus set to simulate
-
     values = {}
-    for name in candidates:
-        try:
-            values[name] = float(_evaluate(name, fam, q, n, m, tgt, channel, stats, 0, 0).value)
-        except TooLargeError:
-            continue
-        except RewindlabError:
-            continue
+    for name in ROUTES:
+        reason = "sampled, not deterministic" if name == "mc" else _refusal(name, shape.family, tgt, channel, stats)
+        if reason is None:
+            try:
+                values[name] = float(_evaluate(name, shape, tgt, channel, stats, 0, 0).value)
+                continue
+            except RewindlabError as exc:
+                reason = str(exc)
+        click.echo(f"skipped {name}: {reason}", err=True)
     if len(values) < 2:
         click.echo("fewer than two feasible methods", err=True)
         sys.exit(COMPUTE_EXIT)

@@ -50,37 +50,15 @@ class S2Spin(IntEnum):
 
 
 @dataclass(frozen=True)
-class WallWeights:
-    """Per-unit weights of a domain wall in the noiseless model."""
-
-    q: int
-
-    @property
-    def bulk(self) -> Fraction:
-        return Fraction(self.q, 1 + self.q * self.q)
-
-    @property
-    def boundary(self) -> Fraction:
-        return Fraction(1, self.q)
-
-    @property
-    def endpoint(self) -> Fraction:
-        return Fraction(1, self.q * self.q)
-
-
-@dataclass(frozen=True)
 class TrivalentRule:
-    """Weight table of one averaged gate.
+    """Weight table of one averaged (second-moment) gate.
 
-    ``kind`` is "solid" (second-moment node) or "dotted" (first-moment
-    node, output pinned to ONE).  Noise enters through ``alpha``/``beta``
-    (single-qudit channel model) or ``beta, beta_u, beta_d`` (general
-    two-qudit channel); all default to 1, which reproduces the noiseless
-    table exactly.
+    Noise enters through ``alpha``/``beta`` (single-qudit channel model)
+    or ``beta, beta_u, beta_d`` (general two-qudit channel); all default
+    to 1, which reproduces the noiseless table exactly.
     """
 
     q: int
-    kind: str = "solid"
     alpha: float | Fraction = 1
     beta: float | Fraction = 1
     beta_u: float | Fraction | None = None
@@ -102,20 +80,10 @@ class TrivalentRule:
     def weight(self, spins: tuple[S2Spin, S2Spin, S2Spin]):
         """Table lookup for spins (tau1, tau2, tau3).
 
-        For the solid rule tau1/tau2 are the two upper legs and tau3 the
-        node's own spin.  For the dotted rule the value is nonzero only
-        when tau3 = ONE, the forced output.
+        tau1/tau2 are the two upper legs and tau3 the node's own spin.
         """
         t1, t2, t3 = spins
         q = self.q
-        if self.kind == "dotted":
-            if t3 != S2Spin.ONE:
-                return Fraction(0)
-            if t1 == t2 == S2Spin.ONE:
-                return Fraction(1)
-            if t1 == t2 == S2Spin.S:
-                return Fraction(1, q * q)
-            return Fraction(1, q)
         general = self.beta_u is not None or self.beta_d is not None
         if general:
             # two-qudit-channel table: (ONE,S,*) rows carry beta_u,
@@ -471,11 +439,7 @@ def enumerate_support(lattice: DiagramLattice):
     return found
 
 
-def single_wall_fidelity(
-    lattice: DiagramLattice,
-    weights: WallWeights | None = None,
-    rule: TrivalentRule | None = None,
-) -> FidelityResult:
+def single_wall_fidelity(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
     """Sum of all weighted single-domain-wall configurations.
 
     Valid only for the noiseless model, where the nonzero-weight
@@ -483,8 +447,6 @@ def single_wall_fidelity(
     partition sum there.  A noisy rule is rejected: multiple walls carry
     weight once the trivalent zeros are lifted.
     """
-    if weights is not None and weights.q != lattice.q:
-        raise ValueError("wall weights built for a different q")
     if rule is not None and rule.noisy:
         raise NoisyRuleError("single-wall reduction holds only for the noiseless rule")
     total = Fraction(0)
@@ -560,7 +522,6 @@ def transfer_fidelity(
     alpha: float | Fraction = 1,
     beta: float | Fraction = 1,
     recycled_factors: tuple = (1, 1),
-    stats=None,
 ) -> FidelityResult:
     """Convolutional-chain fidelity as a product of 2x2 node matrices.
 
@@ -568,13 +529,8 @@ def transfer_fidelity(
     transfer matrix, with the recycled-boundary modification at nodes
     whose input qudit is projected.  ``recycled_factors`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
-    the measurement; (1, 1) is the noiseless value.  Passing a
-    :class:`rewindlab.noise.ChannelStats` as ``stats`` fills all three
-    channel parameters at once.
+    the measurement; (1, 1) is the noiseless value.
     """
-    if stats is not None:
-        alpha, beta = stats.alpha, stats.beta
-        recycled_factors = stats.recycled_boundary
     if n < 3:
         raise ValueError("chain needs n >= 3")
     targeted = target.qudits(n)

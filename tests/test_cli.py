@@ -218,3 +218,162 @@ def test_bad_channel_file_exits_cleanly(runner, tmp_path, command, kind):
     assert isinstance(result.exception, SystemExit), result.exception
     expected = "not trace preserving" if code == 2 else "malformed Kraus operators"
     assert expected in result.output
+
+
+def _rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_bare_alpha_beta_refused_by_simulating_routes(runner):
+    # bare (alpha, beta) give no Kraus set: twirl and mc used to print the noiseless value
+    args = ["fidelity", "--n", "4", "--alpha", "0.9", "--beta", "0.9"]
+    for method in ("twirl", "mc"):
+        result = runner.invoke(main, args + ["--method", f"closed,transfer,{method}", "--samples", "10"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {method}: bare --alpha/--beta" in result.stderr
+        assert result.stdout == ""  # refused before any route runs
+    result = runner.invoke(main, args + ["--method", "closed,transfer"])
+    assert result.exit_code == 0, result.output
+    assert [line.split(": ")[1] for line in result.stdout.splitlines()] == ["0.640746666666667"] * 2
+
+
+def test_sweep_bare_alpha_beta_refused_by_simulating_routes(runner, tmp_path):
+    out = tmp_path / "bare.csv"
+    for method in ("twirl", "mc"):
+        args = ["sweep", "--n", "3:4", "--alpha", "0.9", "--beta", "0.9", "--method", f"closed,{method}"]
+        result = runner.invoke(main, args + ["--samples", "10", "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {method}: bare --alpha/--beta" in result.stderr
+        assert not out.exists()
+
+
+def test_sweep_noisy_closed_on_multi_qudit_target_refused_up_front(runner, tmp_path):
+    # the closed form's target error used to skip every grid point: 0 rows, exit 0
+    out = tmp_path / "prefix.csv"
+    args = ["sweep", "--n", "4:6", "--target", "prefix:2", "--alpha", "0.9", "--beta", "0.9", "--output", str(out)]
+    result = runner.invoke(main, args + ["--method", "closed,transfer"])
+    assert result.exit_code == 2, result.output
+    assert "error: closed: " in result.stderr
+    assert not out.exists()
+    result = runner.invoke(main, args + ["--method", "transfer"])
+    assert result.exit_code == 0, result.output
+    assert [r["n"] for r in _rows(out)] == ["4", "5", "6"]
+
+
+def test_conv_with_several_sweeps_is_a_shape_error(runner, tmp_path):
+    # conv pins m = 1; closed and transfer used to answer m = 3 with the m = 1 value
+    result = runner.invoke(main, ["fidelity", "--n", "4", "--m", "3", "--method", "closed,transfer"])
+    assert result.exit_code == 1, result.output
+    assert "exactly one sweep" in result.output
+    result = runner.invoke(main, ["compare", "--n", "4", "--m", "3"])
+    assert result.exit_code == 1, result.output
+    out = tmp_path / "conv.csv"
+    result = runner.invoke(main, ["sweep", "--n", "3:4", "--m", "1:2", "--method", "closed", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [(r["n"], r["m"]) for r in _rows(out)] == [("3", "1"), ("4", "1")]
+
+
+def test_unknown_method_is_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["fidelity", "--n", "4", "--method", "closed,bogus"])
+    assert result.exit_code == 1, result.output
+    assert "unknown method 'bogus'" in result.output
+    assert "closed:" not in result.output  # raised before any computation
+    out = tmp_path / "bogus.csv"
+    result = runner.invoke(main, ["sweep", "--n", "3:5", "--method", "closed,bogus", "--output", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "unknown method 'bogus'" in result.output
+    assert not out.exists()
+
+
+def test_compare_names_skipped_routes_on_stderr(runner, tmp_path):
+    path = tmp_path / "ad.json"
+    path.write_text(amplitude_damping(2, 0.05).to_json())
+    result = runner.invoke(main, ["compare", "--family", "hybrid", "--n", "4", "--m", "2", "--channel", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "sum: 0.575715641045374\ntwirl: 0.575715641045373\nmax pairwise deviation: 8.88e-16\n"
+    skipped = [line.split(": ", 1) for line in result.stderr.splitlines()]
+    assert [route for route, _ in skipped] == ["skipped closed", "skipped wall", "skipped transfer", "skipped mc"]
+    assert all(reason for _, reason in skipped)
+
+
+# -- one route table: every answer matches the twirl, every refusal says which route --
+
+ROUTE_SHAPES = {
+    "conv-n4": ["--family", "conv", "--n", "4"],
+    "hybrid-n4-m2": ["--family", "hybrid", "--n", "4", "--m", "2"],
+    "local-n4-m4-t1": ["--family", "local", "--n", "4", "--m", "4", "--target", "1"],
+    "local-n4-m4-t3": ["--family", "local", "--n", "4", "--m", "4", "--target", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def route_value(tmp_path_factory):
+    """(exit code, output, value) of one fidelity run, cached across the parametrized cases."""
+    folder = tmp_path_factory.mktemp("channels")
+    pair = KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * haar_unitary(4, np.random.default_rng(3725))), arity=2)
+    noise_args = {"none": [], "bare": ["--alpha", "0.9", "--beta", "0.9"]}
+    for name, channel in (("ad", amplitude_damping(2, 0.05)), ("pair", pair)):
+        path = folder / f"{name}.json"
+        path.write_text(channel.to_json())
+        noise_args[name] = ["--channel", str(path)]
+    cache = {}
+
+    def run(method, shape, noise):
+        if (method, shape, noise) not in cache:
+            args = ["fidelity", "--method", method] + ROUTE_SHAPES[shape] + noise_args[noise]
+            result = CliRunner().invoke(main, args)
+            value = float(result.stdout.split(": ")[1].split()[0]) if result.exit_code == 0 else None
+            cache[method, shape, noise] = (result.exit_code, result.output, value)
+        return cache[method, shape, noise]
+
+    return run
+
+
+@pytest.mark.parametrize("noise", ["none", "ad", "pair", "bare"])
+@pytest.mark.parametrize("shape", sorted(ROUTE_SHAPES))
+@pytest.mark.parametrize("method", ["closed", "wall", "sum", "transfer", "twirl"])
+def test_route_matches_twirl_or_refuses(route_value, method, shape, noise):
+    code, output, value = route_value(method, shape, noise)
+    assert code in (0, 2), output
+    if code == 2:
+        assert f"error: {method}:" in output
+        return
+    # bare (alpha, beta) has no twirl; the sum answers every shape there
+    reference = "sum" if noise == "bare" else "twirl"
+    ref_code, ref_output, ref_value = route_value(reference, shape, noise)
+    assert ref_code == 0, ref_output
+    assert abs(value - ref_value) <= (1e-12 if noise == "bare" else 1e-9), (value, ref_value)
+
+
+# Option names, required flags and defaults of the route commands, as they
+# stood before the commands shared one option decorator.
+ROUTE_COMMAND_OPTIONS = {
+    "fidelity": {
+        "family": (("--family",), False, "conv"), "q": (("--q",), False, 2), "n": (("--n",), False, None),
+        "m": (("--m",), False, 1), "target": (("--target",), False, "1"), "spec_path": (("--spec",), False, None),
+        "method": (("--method",), False, "closed"), "alpha": (("--alpha",), False, None),
+        "beta": (("--beta",), False, None), "channel_path": (("--channel",), False, None),
+        "samples": (("--samples",), False, 100_000), "seed": (("--seed",), False, 0),
+    },
+    "sweep": {
+        "family": (("--family",), False, "conv"), "qs": (("--q",), False, "2"), "ns": (("--n",), True, None),
+        "ms": (("--m",), False, "1"), "target": (("--target",), False, "1"), "method": (("--method",), False, "closed"),
+        "alpha": (("--alpha",), False, None), "beta": (("--beta",), False, None),
+        "channel_path": (("--channel",), False, None), "samples": (("--samples",), False, 100_000),
+        "seed": (("--seed",), False, 0), "output": (("--output",), True, None), "fmt": (("--format",), False, "csv"),
+    },
+    "compare": {
+        "family": (("--family",), False, "conv"), "q": (("--q",), False, 2), "n": (("--n",), True, None),
+        "m": (("--m",), False, 1), "target": (("--target",), False, "1"), "alpha": (("--alpha",), False, None),
+        "beta": (("--beta",), False, None), "channel_path": (("--channel",), False, None),
+        "tolerance": (("--tolerance",), False, 1e-9),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUTE_COMMAND_OPTIONS))
+def test_route_command_options_unchanged(command):
+    params = main.commands[command].params
+    found = {p.name: (tuple(p.opts), p.required, None if p.required else p.default) for p in params}
+    assert found == ROUTE_COMMAND_OPTIONS[command]

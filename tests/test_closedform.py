@@ -332,8 +332,9 @@ def test_noisy_closed_dephasing_takes_formula_branch(monkeypatch):
     from rewindlab.noise import channel_stats, dephasing
 
     stats = channel_stats(dephasing(2, 0.05))
+    params = (stats.alpha, stats.beta, stats.recycled_boundary)
     expected = {
-        (n, i): float(transfer_fidelity(2, n, RecycleTarget.single(i), stats=stats).value)
+        (n, i): float(transfer_fidelity(2, n, RecycleTarget.single(i), *params).value)
         for n in (4, 7, 11)
         for i in (1, 2, 3)
     }

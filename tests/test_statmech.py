@@ -15,7 +15,6 @@ from rewindlab.statmech import (
     S2Spin,
     TransferMatrix,
     TrivalentRule,
-    WallWeights,
     config_weight,
     enumerate_support,
     lattice_from_circuit,
@@ -46,14 +45,6 @@ def test_solid_rule_noiseless():
         assert rule.weight((S, ONE, t3)) == Fraction(2, 5)
 
 
-def test_dotted_rule():
-    rule = TrivalentRule(3, kind="dotted")
-    assert rule.weight((ONE, ONE, ONE)) == 1
-    assert rule.weight((ONE, S, ONE)) == Fraction(1, 3)
-    assert rule.weight((S, S, ONE)) == Fraction(1, 9)
-    assert rule.weight((ONE, ONE, S)) == 0
-
-
 def test_noisy_rules_reduce_to_noiseless():
     clean = TrivalentRule(2)
     for rule in (
@@ -77,15 +68,6 @@ def test_noisy_rule_values():
     assert general.weight((ONE, S, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
     assert general.weight((S, ONE, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
     assert general.weight((S, S, ONE)) == pytest.approx(4 * (1 - 0.7) / d4)
-
-
-def test_wall_weights_combination():
-    # one endpoint, one boundary unit, and three bulk units combine to
-    # (1/(1+q^2))^3, the worked single-wall example
-    for q in (2, 3, 5):
-        w = WallWeights(q)
-        assert w.endpoint * w.boundary * w.bulk**3 == Fraction(1, (1 + q * q) ** 3)
-        assert 0 < w.bulk < 1 and 0 < w.boundary < 1 and 0 < w.endpoint < 1
 
 
 # -- lattice construction ----------------------------------------------------
