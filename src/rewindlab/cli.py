@@ -85,12 +85,19 @@ def _channel_stats(channel):
 
 
 def _load_channel(path: str | None, alpha: float | None, beta: float | None):
-    """Returns (channel, stats) from a JSON file or bare (alpha, beta)."""
+    """Returns (channel, stats) from a JSON file or bare (alpha, beta).
+
+    Bare statistics outside [0, 1] are a usage error: both are overlaps
+    that no trace-preserving channel takes past 1 (Cauchy-Schwarz).
+    """
     from rewindlab.noise import ChannelStats
 
     if path is not None:
         channel = _read_channel(path)
         return channel, _channel_stats(channel)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if value is not None and not 0 <= value <= 1:
+            raise click.UsageError(f"--{name} {value} is outside [0, 1]")
     if alpha is not None or beta is not None:
         stats = ChannelStats(
             alpha=alpha if alpha is not None else 1.0,
@@ -155,8 +162,9 @@ def _evaluate(
         if shape.family is Family.HYBRID:
             return closedform.hybrid_fidelity(q, n, shape.m)
         return closedform.local_fidelity(q, n, shape.m)
+    rule = statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
     if method == "transfer":
-        return statmech.transfer_fidelity(q, n, target, a, b, rb)
+        return statmech.transfer_fidelity(q, n, target, rule=rule)
     layout = protocol_layout(shape, target)
     if method == "twirl":
         return oracle.exact_twirl_fidelity(layout, target, channel=channel)
@@ -165,7 +173,6 @@ def _evaluate(
     lattice = statmech.lattice_from_circuit(layout, target)
     if method == "wall":
         return statmech.single_wall_fidelity(lattice)
-    rule = None if stats is None else statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
     return statmech.partition_sum_exhaustive(lattice, rule)
 
 
@@ -190,7 +197,7 @@ def _route_options(sampled: bool):
     ]
     if sampled:
         options += [
-            click.option("--samples", type=int, default=100_000, show_default=True),
+            click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True),
             click.option("--seed", type=int, default=0, show_default=True),
         ]
 
@@ -226,6 +233,10 @@ def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, 
             shape, spec_target = CircuitShape(Family(family), n, m, q), None
         tgt = spec_target if spec_target is not None else RecycleTarget.parse(target)
         tgt.validate(shape.n)
+    except KeyError as exc:
+        raise click.UsageError(f"spec {spec_path} lacks the key {exc}")
+    except TypeError as exc:
+        raise click.UsageError(f"spec {spec_path} has a field of the wrong type ({exc})")
     except (RewindlabError, ValueError) as exc:
         raise click.UsageError(str(exc))
     methods = _parse_methods(method)

@@ -3,31 +3,41 @@
 After Haar-averaging, every rewound gate carries a permutation spin from
 S2 = {ONE, S}; non-rewound gates, the circuit input and the final
 contraction act as fixed boundaries.  The averaged fidelity becomes a
-partition sum over spin configurations with trivalent node weights
+partition sum over spin configurations with one trivalent weight table
+per node, :meth:`TrivalentRule.table`.  Each upward leg carries its own
+dressing p: alpha on a leg to the fidelity cap, beta on a gate-to-gate
+leg, 1 on a leg into a non-rewound gate (and on every leg without
+noise).  With d4 = q^4 - 1, leg spins (e1, e2) and own spin tau:
 
-    solid:   1                      all three spins equal
-             q/(1+q^2)              the two upper spins differ
-             0                      upper spins equal, own spin different
+    (e1, e2)       tau = ONE                tau = S
+    (ONE, ONE)     1                        0
+    (ONE, S)       q (q^2 - p2) / d4        q (p2 q^2 - 1) / d4
+    (S, ONE)       q (q^2 - p1) / d4        q (p1 q^2 - 1) / d4
+    (S, S)         q^2 (1 - p1 p2) / d4     (p1 p2 q^4 - 1) / d4
 
-plus per-node boundary overlap factors.  This module builds that lattice
-directly from a gate layout by walking each qudit's wire upward
-(:func:`lattice_from_circuit`) and evaluates it three ways:
+times the legs' constants and the node's boundary factors.  Without
+noise an entry is 1 when all three spins agree, q/(1+q^2) when the two
+leg spins differ, and 0 when they agree and the own spin does not.
+
+:func:`lattice_from_circuit` builds the lattice directly from a gate
+layout by walking each qudit's wire upward, and three evaluators read
+the one table:
 
 * :func:`partition_sum_exhaustive` -- the sum over all assignments,
   contracted node by node from the top over a frontier of pending spins,
 * :func:`single_wall_fidelity` -- sum over the single-domain-wall
   configurations only (every nonzero-weight noiseless configuration),
-* :func:`transfer_fidelity` -- 2x2 transfer-matrix product for the
-  convolutional chain, valid with or without noise.
+  found by its own pruned search,
+* :func:`transfer_fidelity` -- 2x2 product for the convolutional chain,
+  whose node is the table's (S, old) -> new entries; valid with or
+  without noise.
 
 Boundary bookkeeping (exact, derived from the folded four-copy picture):
 a wire into a non-rewound gate collapses to the fixed spin ONE and scales
 the emitter leg by 1/q^2; the fidelity cap behaves as a fixed S spin; the
 circuit input contributes per-node factors (q, 1) for kept qudits and
-(1, 1) for recycled ones.  With noise, gate-to-gate legs acquire the
-two-channel dressing (beta), legs to the cap the single-channel dressing
-(alpha), and the recycled-qudit input factors are dressed by the adjoint
-channel acting right before the measurement.
+(1, 1) for recycled ones.  With noise the recycled-qudit input factors
+are dressed by the adjoint channel acting right before the measurement.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from enum import IntEnum
 from fractions import Fraction
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import NoisyRuleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.errors import InvalidParameterError, NoisyRuleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
 from rewindlab.result import FidelityResult
 
 # Largest frontier partition_sum_exhaustive builds; see its docstring.
@@ -51,70 +61,56 @@ class S2Spin(IntEnum):
 
 @dataclass(frozen=True)
 class TrivalentRule:
-    """Weight table of one averaged (second-moment) gate.
+    """Node-weight table of the averaged (second-moment) gates.
 
-    Noise enters through ``alpha``/``beta`` (single-qudit channel model)
-    or ``beta, beta_u, beta_d`` (general two-qudit channel); all default
-    to 1, which reproduces the noiseless table exactly.
+    ``alpha`` dresses legs to the fidelity cap, ``beta`` gate-to-gate
+    legs, and ``recycled_boundary`` is the overlap of the projected-qudit
+    input with (ONE, S) once the adjoint channel dresses it.  All default
+    to 1, which gives the noiseless table exactly.
     """
 
     q: int
     alpha: float | Fraction = 1
     beta: float | Fraction = 1
-    beta_u: float | Fraction | None = None
-    beta_d: float | Fraction | None = None
-    # Overlap of the projected-qudit input with (ONE, S) when the adjoint
-    # channel dresses it; (1, 1) without noise.
     recycled_boundary: tuple = (1, 1)
 
     @property
     def noisy(self) -> bool:
-        return not (
-            self.alpha == 1
-            and self.beta == 1
-            and (self.beta_u in (None, 1))
-            and (self.beta_d in (None, 1))
-            and tuple(self.recycled_boundary) == (1, 1)
-        )
+        return not (self.alpha == 1 and self.beta == 1 and tuple(self.recycled_boundary) == (1, 1))
 
-    def weight(self, spins: tuple[S2Spin, S2Spin, S2Spin]):
-        """Table lookup for spins (tau1, tau2, tau3).
+    def table(self, node: LatticeNode) -> dict:
+        """Weights of ``node`` keyed by (own spin, leg-1 spin, leg-2 spin).
 
-        tau1/tau2 are the two upper legs and tau3 the node's own spin.
+        A leg with a fixed absorber takes only that absorber's spin.  The
+        entries are exact Fractions when every parameter is exact.
         """
-        t1, t2, t3 = spins
         q = self.q
-        general = self.beta_u is not None or self.beta_d is not None
-        if general:
-            # two-qudit-channel table: (ONE,S,*) rows carry beta_u,
-            # (S,ONE,*) rows beta_d, (S,S,*) rows beta
-            p12 = self.beta_u if self.beta_u is not None else 1
-            p21 = self.beta_d if self.beta_d is not None else 1
-            pss = self.beta
-        else:
-            # single-qudit-channel table: (ONE,S,*) rows carry beta,
-            # (S,ONE,*) rows alpha, (S,S,*) rows alpha*beta
-            p12 = self.beta
-            p21 = self.alpha
-            pss = self.alpha * self.beta
         d4 = q**4 - 1
-        table = {
-            (0, 0, 0): Fraction(1),
-            (0, 0, 1): Fraction(0),
-            (0, 1, 0): _ratio(q * (q * q - p12), d4),
-            (0, 1, 1): _ratio(q * (p12 * q * q - 1), d4),
-            (1, 0, 0): _ratio(q * (q * q - p21), d4),
-            (1, 0, 1): _ratio(q * (p21 * q * q - 1), d4),
-            (1, 1, 0): _ratio(q * q * (1 - pss), d4),
-            (1, 1, 1): _ratio(pss * q**4 - 1, d4),
-        }
-        return table[(int(t1), int(t2), int(t3))]
+        leg1, leg2 = node.legs
+        dressing = {"none": 1, "alpha": self.alpha, "beta": self.beta}
+        p1, p2 = dressing[leg1.dress], dressing[leg2.dress]
+        at_one = at_s = leg1.const * leg2.const
+        for kind in node.bottoms:
+            one, s = self.recycled_boundary if kind == "recycled" else _BOTTOM_FACTORS[kind](q)
+            at_one, at_s = at_one * one, at_s * s
+        out = {}
+        for e1 in (0, 1) if leg1.eff is None else (int(leg1.eff),):
+            for e2 in (0, 1) if leg2.eff is None else (int(leg2.eff),):
+                if e1 and e2:
+                    p = p1 * p2
+                    w_one, w_s = _ratio(q * q * (1 - p), d4), _ratio(p * q**4 - 1, d4)
+                elif e1 or e2:
+                    p = p1 if e1 else p2  # the dressing of the leg that carries S
+                    w_one, w_s = _ratio(q * (q * q - p), d4), _ratio(q * (p * q * q - 1), d4)
+                else:
+                    w_one, w_s = 1, 0
+                out[0, e1, e2] = w_one * at_one
+                out[1, e1, e2] = w_s * at_s
+        return out
 
 
 def _ratio(num, den):
-    if isinstance(num, Fraction) or isinstance(num, int):
-        return Fraction(num, den)
-    return num / den
+    return num / den if isinstance(num, float) else Fraction(num, den)
 
 
 # -- lattice construction --------------------------------------------------
@@ -152,9 +148,6 @@ class DiagramLattice:
     n: int
     nodes: list[LatticeNode]
     global_const: Fraction
-    start_nodes: list[int]  # wall entry candidates (boundary-adjacent nodes)
-    end_marker: tuple[int, int]  # fixed-S corner all walls terminate at
-    forbidden: list[tuple[int, int]]  # fixed-ONE positions (first-moment gates)
     # recycled wires whose first gate is not rewound: the lattice has no
     # node to carry their dressed boundary
     undressed: int
@@ -185,7 +178,6 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
         w: ("recycled" if w in targeted else "bottom") for w in range(1, n + 1)
     }
     global_const = Fraction(1)
-    forbidden: list[tuple[int, int]] = []
     undressed = 0
     seen_pairs: dict[tuple[int, int], int] = {}
 
@@ -211,7 +203,6 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                 carried[w] = node.index
             nodes.append(node)
         else:
-            forbidden.append((repeat, pair[0]))
             for w in pair:
                 st = carried[w]
                 if isinstance(st, int):
@@ -229,7 +220,6 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                 else:
                     carried[w] = "fixed_one_t"
 
-    max_row = max((nd.coords[0] for nd in nodes), default=0)
     for w in range(1, n + 1):
         st = carried[w]
         if isinstance(st, int):
@@ -244,97 +234,19 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                 f"node {nd.index} on {nd.qudits} has {len(nd.legs)} upward legs; cannot map this layout"
             )
 
-    start_nodes = [nd.index for nd in nodes if any(b in ("kept", "recycled") for b in nd.bottoms)]
-    return DiagramLattice(
-        q=q,
-        n=n,
-        nodes=nodes,
-        global_const=global_const,
-        start_nodes=start_nodes,
-        end_marker=(max_row + 1, 1),
-        forbidden=forbidden,
-        undressed=undressed,
-    )
+    return DiagramLattice(q=q, n=n, nodes=nodes, global_const=global_const, undressed=undressed)
 
 
-# -- configuration weights -------------------------------------------------
-
-
-def _wg_pair_fraction(q: int) -> tuple[Fraction, Fraction]:
-    d = q * q
-    return Fraction(1, d * d - 1), Fraction(-1, d * (d * d - 1))
-
-
-def _overlap(q: int, eff: S2Spin, sigma: S2Spin, dress: str, alpha, beta):
-    """Single-qudit overlap <eff|sigma> with optional channel dressing."""
-    if eff != sigma:
-        return Fraction(q)
-    if eff == S2Spin.ONE:
-        return Fraction(q * q)
-    if dress == "alpha":
-        return alpha * q * q
-    if dress == "beta":
-        return beta * q * q
-    return Fraction(q * q)
-
-
-def _node_weight_table(node: LatticeNode, q: int, alpha, beta, recycled_factors):
-    """Weights for the 8 combinations (own spin, leg-1 spin, leg-2 spin).
-
-    Legs with a fixed absorber ignore the corresponding index.  Result is
-    a dict keyed by (tau, e1, e2) of exact Fractions (noiseless) or floats.
-    """
-    wg_same, wg_diff = _wg_pair_fraction(q)
-    leg1, leg2 = node.legs
-    out = {}
-    for tau in (S2Spin.ONE, S2Spin.S):
-        bfac = 1
-        for kind in node.bottoms:
-            if kind == "recycled":
-                pair = recycled_factors
-            else:
-                pair = _BOTTOM_FACTORS[kind](q)
-            bfac *= pair[int(tau)]
-        for e1 in (S2Spin.ONE, S2Spin.S):
-            if leg1.eff is not None and e1 != leg1.eff:
-                continue
-            for e2 in (S2Spin.ONE, S2Spin.S):
-                if leg2.eff is not None and e2 != leg2.eff:
-                    continue
-                total = 0
-                for sigma in (S2Spin.ONE, S2Spin.S):
-                    wg = wg_same if sigma == tau else wg_diff
-                    total += (
-                        wg
-                        * _overlap(q, e1, sigma, leg1.dress, alpha, beta)
-                        * _overlap(q, e2, sigma, leg2.dress, alpha, beta)
-                    )
-                out[(int(tau), int(e1), int(e2))] = total * leg1.const * leg2.const * bfac
-    return out
+# -- evaluators ------------------------------------------------------------
 
 
 def _resolve_leg(leg: LatticeLeg, spins) -> S2Spin:
     return leg.eff if leg.ref is None else S2Spin(spins[leg.ref])
 
 
-def _rule_params(rule: TrivalentRule | None):
-    if rule is None:
-        return 1, 1, (Fraction(1), Fraction(1))
-    return rule.alpha, rule.beta, tuple(rule.recycled_boundary)
-
-
-def config_weight(lattice: DiagramLattice, spins, rule: TrivalentRule | None = None):
-    """Weight of one full spin assignment (mainly for tests and wall sums)."""
-    alpha, beta, recycled = _rule_params(rule)
-    total = lattice.global_const
-    for node in lattice.nodes:
-        table = _node_weight_table(node, lattice.q, alpha, beta, recycled)
-        e1 = _resolve_leg(node.legs[0], spins)
-        e2 = _resolve_leg(node.legs[1], spins)
-        total *= table[(int(spins[node.index]), int(e1), int(e2))]
-        if total == 0:
-            return total
-    return total
+def _check_rule_q(rule: TrivalentRule, q: int) -> None:
+    if rule.q != q:
+        raise InvalidParameterError(f"rule is for q={rule.q} but the model has q={q}")
 
 
 def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
@@ -356,16 +268,19 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     takes, even with noise, which lifts the trivalent zeros that prune
     the frontier; noiseless frontiers stay near n states.  A dressed recycled boundary on a lattice with
     undressed recycled wires raises :class:`UnsupportedRegimeError`: the
-    sum would leave that boundary out and return a wrong number.
+    sum would leave that boundary out and return a wrong number.  A rule
+    for another q raises :class:`InvalidParameterError`.
     """
-    noisy = rule is not None and rule.noisy
-    alpha, beta, recycled = _rule_params(rule if noisy else None)
-    if lattice.undressed and recycled != (1, 1):
+    if rule is not None:
+        _check_rule_q(rule, lattice.q)
+    if rule is None or not rule.noisy:
+        rule = TrivalentRule(lattice.q)  # exact, even if the given rule holds float ones
+    if lattice.undressed and tuple(rule.recycled_boundary) != (1, 1):
         raise UnsupportedRegimeError(
             f"{lattice.undressed} recycled wire(s) first meet a non-rewound gate; "
             "their dressed boundary is not modelled"
         )
-    cast = float if noisy else Fraction
+    cast = float if rule.noisy else Fraction
     lowest_reader: dict[int, int] = {}
     for node in reversed(lattice.nodes):
         for leg in node.legs:
@@ -376,7 +291,7 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     frontier = {0: cast(1)}
     for node in reversed(lattice.nodes):
         j = node.index
-        table = _node_weight_table(node, lattice.q, alpha, beta, recycled)
+        table = rule.table(node)
         own = 1 << j if j in lowest_reader else 0
         done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
         keep = ~sum(1 << ref for ref in done)
@@ -408,11 +323,8 @@ def enumerate_support(lattice: DiagramLattice):
     factor prunes the whole branch.  Every surviving configuration is a
     single-domain-wall state.
     """
-    q = lattice.q
-    tables = [
-        _node_weight_table(node, q, 1, 1, (Fraction(1), Fraction(1)))
-        for node in lattice.nodes
-    ]
+    rule = TrivalentRule(lattice.q)
+    tables = [rule.table(node) for node in lattice.nodes]
     order = list(range(len(lattice.nodes) - 1, -1, -1))
     spins = [0] * len(lattice.nodes)
     found: list[tuple[tuple[int, ...], Fraction]] = []
@@ -458,57 +370,28 @@ def single_wall_fidelity(lattice: DiagramLattice, rule: TrivalentRule | None = N
 # -- transfer matrices -----------------------------------------------------
 
 
-@dataclass
-class TransferMatrix:
-    """2x2 transfer matrix of the noisy convolutional chain, basis (ONE, S).
+# One gate of the convolutional chain: leg 1 is the alpha-dressed leg to
+# the cap, leg 2 the beta-dressed leg to the next chain node (any ref
+# marks a leg free).  Its input wires are applied by transfer_fidelity.
+_CHAIN_NODE = LatticeNode(
+    index=0,
+    qudits=(1, 2),
+    coords=(0, 1),
+    legs=[LatticeLeg(ref=None, eff=S2Spin.S, const=1, dress="alpha"), LatticeLeg(ref=0, eff=None, const=1, dress="beta")],
+)
 
-    ``matrix[new, old]`` advances one chain node toward the recycled end;
-    ``modified`` is the same node with a recycled-qudit boundary (the kept
-    factor q stripped from the ONE row).  ``eigen()`` caches the (P, D)
-    decomposition; the leading eigenvalue is always 1, the subleading one
-    alpha q^2 (beta q^2 - 1)/(q^4 - 1), which is q^2/(q^2+1) without noise.
+
+def _chain_node(rule: TrivalentRule) -> list[list]:
+    """Chain node ``[new][old]`` of the convolutional transfer product.
+
+    These are the rule's table entries (S, old) -> new of
+    ``_CHAIN_NODE``.  With a kept input wire, diag(q, 1) times this node
+    has the eigenvalue 1, with left eigenvector (q, 1), and the
+    subleading eigenvalue alpha q^2 (beta q^2 - 1)/(q^4 - 1), which is
+    q^2/(q^2+1) without noise.
     """
-
-    q: int
-    alpha: float | Fraction = 1
-    beta: float | Fraction = 1
-
-    def __post_init__(self):
-        q, a, b = self.q, self.alpha, self.beta
-        d4 = q**4 - 1
-        n_table = [
-            [_ratio(q * (q * q - a), d4), _ratio(q * q * (1 - a * b), d4)],
-            [_ratio(q * (a * q * q - 1), d4), _ratio(a * b * q**4 - 1, d4)],
-        ]
-        self.modified = n_table
-        self.matrix = [[n_table[0][0] * q, n_table[0][1] * q], n_table[1]]
-        self._eigen = None
-
-    @property
-    def eigenvalues(self) -> tuple[float | Fraction, float | Fraction]:
-        q, a, b = self.q, self.alpha, self.beta
-        lam2 = _ratio(a * q * q * (b * q * q - 1), q**4 - 1)
-        return (1 if isinstance(lam2, Fraction) else 1.0), lam2
-
-    @property
-    def subleading(self):
-        return self.eigenvalues[1]
-
-    def eigen(self):
-        """(P, D) with T = P D P^-1; columns of P are the eigenvectors.
-
-        Valid whenever alpha q^2 != 1 (the right 1-eigenvector has a
-        (1-ab)q^3/(aq^2-1) component).
-        """
-        if self._eigen is None:
-            q, a, b = self.q, self.alpha, self.beta
-            if a * q * q == 1:
-                raise ZeroDivisionError("eigenvector form needs alpha q^2 != 1")
-            one = Fraction(1) if isinstance(self.matrix[0][0], Fraction) else 1.0
-            d = [[one, 0 * one], [0 * one, self.subleading]]
-            p = [[_ratio((1 - a * b) * q**3, a * q * q - 1), _ratio(-1, q)], [one, one]]
-            self._eigen = (p, d)
-        return self._eigen
+    table = rule.table(_CHAIN_NODE)
+    return [[table[new, 1, old] for old in (0, 1)] for new in (0, 1)]
 
 
 def _mat_vec(m, v):
@@ -522,23 +405,30 @@ def transfer_fidelity(
     alpha: float | Fraction = 1,
     beta: float | Fraction = 1,
     recycled_factors: tuple = (1, 1),
+    *,
+    rule: TrivalentRule | None = None,
 ) -> FidelityResult:
     """Convolutional-chain fidelity as a product of 2x2 node matrices.
 
-    Node j of the chain (gate (j, j+1), j = 1..n-2) contributes the
-    transfer matrix, with the recycled-boundary modification at nodes
-    whose input qudit is projected.  ``recycled_factors`` dresses the
+    Node j of the chain (gate (j, j+1), j = 1..n-2) maps the spin of node
+    j+1 to its own through :func:`_chain_node`; its input wires then
+    multiply in their boundary factors.  ``recycled_factors`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
-    the measurement; (1, 1) is the noiseless value.
+    the measurement; (1, 1) is the noiseless value.  ``rule`` gives
+    alpha, beta and that boundary as one :class:`TrivalentRule` instead;
+    it must be for ``q``, and the three scalars then keep their defaults.
     """
     if n < 3:
         raise ValueError("chain needs n >= 3")
+    if rule is None:
+        rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
+    elif (alpha, beta, tuple(recycled_factors)) != (1, 1, (1, 1)):
+        raise InvalidParameterError("give the noise either as a rule or as alpha, beta and recycled_factors")
+    _check_rule_q(rule, q)
+    node = _chain_node(rule)
+    r_one, r_s = rule.recycled_boundary
+    exact = isinstance(node[0][0], Fraction) and all(isinstance(x, (int, Fraction)) for x in (r_one, r_s))
     targeted = target.qudits(n)
-    tm = TransferMatrix(q, alpha, beta)
-    exact = isinstance(tm.matrix[0][0], Fraction) and all(
-        isinstance(x, (int, Fraction)) for x in recycled_factors
-    )
-    r_one, r_s = recycled_factors
 
     # Bottom wires per node: node 1 absorbs qudits {1, 2}, node j absorbs
     # qudit j+1.  Kept wires give diag(q, 1), recycled ones diag(r1, rs).
@@ -551,7 +441,7 @@ def transfer_fidelity(
                 b_one, b_s = b_one * r_one, b_s * r_s
             else:
                 b_one = b_one * q
-        v = _mat_vec(tm.modified, v)
+        v = _mat_vec(node, v)
         v = [b_one * v[0], b_s * v[1]]
     value = (v[0] + v[1]) / Fraction(q) if exact else float(v[0] + v[1]) / q
     return FidelityResult(value=value, method="transfer")

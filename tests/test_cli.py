@@ -248,6 +248,57 @@ def test_sweep_bare_alpha_beta_refused_by_simulating_routes(runner, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fidelity", "sweep", "compare"])
+@pytest.mark.parametrize("bad", [["--alpha", "1.5", "--beta", "1.2"], ["--beta", "1.2"], ["--alpha", "-0.1"], ["--alpha", "nan"]])
+def test_bare_alpha_beta_outside_unit_interval_is_usage_error(runner, tmp_path, command, bad):
+    # transfer and sum used to agree on 1.890368 at alpha=1.5, beta=1.2
+    out = tmp_path / "out.csv"
+    args = {
+        "fidelity": ["fidelity", "--n", "6", "--method", "transfer,sum"],
+        "sweep": ["sweep", "--n", "3:6", "--method", "transfer,sum", "--output", str(out)],
+        "compare": ["compare", "--n", "6"],
+    }[command]
+    result = runner.invoke(main, args + bad)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "is outside [0, 1]" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"n": 4}, "lacks the key 'family'"),
+        ({"family": "conv", "n": 4, "target": {"kind": "single"}}, "lacks the key 'indices'"),
+        ({"family": "conv", "n": "4"}, "has a field of the wrong type"),
+        ({"family": "conv", "n": 4, "target": {"kind": "single", "indices": 3}}, "has a field of the wrong type"),
+    ],
+    ids=["no-family", "target-without-indices", "n-as-string", "indices-not-a-list"],
+)
+def test_spec_with_missing_or_mistyped_key_is_usage_error(runner, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["fidelity", "--spec", str(path), "--method", "closed"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+
+
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_usage_error(runner, tmp_path, command, samples):
+    out = tmp_path / "out.csv"
+    args = {
+        "fidelity": ["fidelity", "--n", "4"],
+        "sweep": ["sweep", "--n", "3:4", "--output", str(out)],
+    }[command]
+    result = runner.invoke(main, args + ["--method", "mc", "--samples", samples])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "--samples" in result.output
+    assert not out.exists()
+
+
 def test_sweep_noisy_closed_on_multi_qudit_target_refused_up_front(runner, tmp_path):
     # the closed form's target error used to skip every grid point: 0 rows, exit 0
     out = tmp_path / "prefix.csv"
@@ -291,7 +342,7 @@ def test_compare_names_skipped_routes_on_stderr(runner, tmp_path):
     path.write_text(amplitude_damping(2, 0.05).to_json())
     result = runner.invoke(main, ["compare", "--family", "hybrid", "--n", "4", "--m", "2", "--channel", str(path)])
     assert result.exit_code == 0, result.output
-    assert result.stdout == "sum: 0.575715641045374\ntwirl: 0.575715641045373\nmax pairwise deviation: 8.88e-16\n"
+    assert result.stdout == "sum: 0.575715641045374\ntwirl: 0.575715641045373\nmax pairwise deviation: 9.99e-16\n"
     skipped = [line.split(": ", 1) for line in result.stderr.splitlines()]
     assert [route for route, _ in skipped] == ["skipped closed", "skipped wall", "skipped transfer", "skipped mc"]
     assert all(reason for _, reason in skipped)

@@ -6,16 +6,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rewindlab import statmech
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.closedform import hybrid_fidelity, local_fidelity
-from rewindlab.errors import TargetNotIdleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.closedform import hybrid_fidelity, local_fidelity, noisy_lambda2
+from rewindlab.errors import (
+    InvalidParameterError,
+    TargetNotIdleError,
+    TooLargeError,
+    UnsupportedFamilyError,
+    UnsupportedRegimeError,
+)
 from rewindlab.noise import amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import (
-    DiagramLattice,
+    LatticeLeg,
+    LatticeNode,
     S2Spin,
-    TransferMatrix,
     TrivalentRule,
-    config_weight,
     enumerate_support,
     lattice_from_circuit,
     partition_sum_exhaustive,
@@ -34,40 +39,50 @@ def make_lattice(family, n, m, q, target):
 # -- rule tables -------------------------------------------------------------
 
 
+def _free_node(dress1="beta", dress2="beta"):
+    """A node whose two upward legs both read free spins."""
+    legs = [LatticeLeg(ref=0, eff=None, const=Fraction(1), dress=d) for d in (dress1, dress2)]
+    return LatticeNode(index=1, qudits=(1, 2), coords=(0, 1), legs=legs)
+
+
 def test_solid_rule_noiseless():
-    rule = TrivalentRule(2)
-    assert rule.weight((ONE, ONE, ONE)) == 1
-    assert rule.weight((S, S, S)) == 1
-    assert rule.weight((ONE, ONE, S)) == 0
-    assert rule.weight((S, S, ONE)) == 0
-    for t3 in (ONE, S):
-        assert rule.weight((ONE, S, t3)) == Fraction(2, 5)
-        assert rule.weight((S, ONE, t3)) == Fraction(2, 5)
+    table = TrivalentRule(2).table(_free_node())
+    assert table[ONE, ONE, ONE] == 1
+    assert table[S, S, S] == 1
+    assert table[S, ONE, ONE] == 0
+    assert table[ONE, S, S] == 0
+    for tau in (ONE, S):
+        assert table[tau, ONE, S] == Fraction(2, 5)
+        assert table[tau, S, ONE] == Fraction(2, 5)
 
 
 def test_noisy_rules_reduce_to_noiseless():
-    clean = TrivalentRule(2)
-    for rule in (
-        TrivalentRule(2, alpha=1, beta=1),
-        TrivalentRule(2, beta=1, beta_u=1, beta_d=1),
-    ):
-        for t1 in (ONE, S):
-            for t2 in (ONE, S):
-                for t3 in (ONE, S):
-                    assert rule.weight((t1, t2, t3)) == clean.weight((t1, t2, t3))
+    for dress in [("alpha", "beta"), ("beta", "alpha"), ("none", "alpha"), ("beta", "beta")]:
+        clean = TrivalentRule(2).table(_free_node(*dress))
+        for rule in (
+            TrivalentRule(2, alpha=1, beta=1),
+            TrivalentRule(2, alpha=Fraction(1), beta=Fraction(1), recycled_boundary=(Fraction(1), Fraction(1))),
+        ):
+            assert not rule.noisy
+            assert rule.table(_free_node(*dress)) == clean
 
 
 def test_noisy_rule_values():
+    # each leg carries its own dressing: alpha on leg 1, beta on leg 2 first
     q = 2
     rule = TrivalentRule(q, alpha=0.9, beta=0.8)
     d4 = q**4 - 1
-    assert rule.weight((S, S, S)) == pytest.approx((0.72 * 16 - 1) / d4)
-    assert rule.weight((S, ONE, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
-    assert rule.weight((ONE, S, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
-    general = TrivalentRule(q, beta=0.7, beta_u=0.9, beta_d=0.8)
-    assert general.weight((ONE, S, ONE)) == pytest.approx(q * (4 - 0.9) / d4)
-    assert general.weight((S, ONE, S)) == pytest.approx(q * (0.8 * 4 - 1) / d4)
-    assert general.weight((S, S, ONE)) == pytest.approx(4 * (1 - 0.7) / d4)
+    table = rule.table(_free_node("alpha", "beta"))
+    assert table[S, S, S] == pytest.approx((0.72 * 16 - 1) / d4)
+    assert table[ONE, S, ONE] == pytest.approx(q * (4 - 0.9) / d4)
+    assert table[S, ONE, S] == pytest.approx(q * (0.8 * 4 - 1) / d4)
+    swapped = rule.table(_free_node("beta", "alpha"))
+    assert swapped[ONE, ONE, S] == pytest.approx(q * (4 - 0.9) / d4)
+    assert swapped[S, S, ONE] == pytest.approx(q * (0.8 * 4 - 1) / d4)
+    both_beta = rule.table(_free_node("beta", "beta"))
+    assert both_beta[ONE, S, S] == pytest.approx(4 * (1 - 0.64) / d4)
+    # a leg into a non-rewound gate stays bare
+    assert rule.table(_free_node("none", "beta"))[ONE, S, ONE] == pytest.approx(q * (4 - 1) / d4)
 
 
 # -- lattice construction ----------------------------------------------------
@@ -76,8 +91,6 @@ def test_noisy_rule_values():
 def test_conv_lattice_is_chain():
     lat = make_lattice(Family.CONVOLUTIONAL, 5, 1, 2, RecycleTarget.single(1))
     assert lat.free_node_count == 3  # n - 2 interior columns
-    assert len(lat.forbidden) == 1  # the single non-rewound gate
-    assert len(lat.start_nodes) == 3
     # chain adjacency: node j feeds node j+1
     refs = [[leg.ref for leg in node.legs if leg.ref is not None] for node in lat.nodes]
     assert refs == [[1], [2], []]
@@ -126,7 +139,11 @@ def test_all_one_configuration_weight():
     # all-ONE weight (1/q) (q^2/(q^2+1))^(n-2)
     q, n = 2, 5
     lat = make_lattice(Family.CONVOLUTIONAL, n, 1, q, RecycleTarget.single(1))
-    w = config_weight(lat, [0] * lat.free_node_count)
+    rule = TrivalentRule(q)
+    w = lat.global_const
+    for node in lat.nodes:
+        e1, e2 = (ONE if leg.ref is not None else leg.eff for leg in node.legs)
+        w *= rule.table(node)[ONE, e1, e2]
     assert w == Fraction(1, q) * Fraction(q * q, q * q + 1) ** (n - 2)
 
 
@@ -179,30 +196,33 @@ def test_single_wall_equals_exhaustive_batch():
 # -- transfer matrices -------------------------------------------------------
 
 
-def test_transfer_matrix_noiseless_eigenvalue():
+def _bulk_matrix(rule):
+    """Chain node with a kept input wire: diag(q, 1) times the node."""
+    node = statmech._chain_node(rule)
+    return [[rule.q * x for x in node[0]], node[1]]
+
+
+def test_transfer_chain_noiseless_eigenvalues():
     for q in (2, 3, 5):
-        tm = TransferMatrix(q)
-        assert tm.subleading == Fraction(q * q, q * q + 1)
+        t = _bulk_matrix(TrivalentRule(q))
+        trace, det = t[0][0] + t[1][1], t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        # characteristic polynomial x^2 - trace x + det vanishes at 1, so
+        # the other eigenvalue is det
+        assert 1 - trace + det == 0
+        lam2 = noisy_lambda2(q, Fraction(1), Fraction(1))
+        assert det == lam2 == Fraction(q * q, q * q + 1)
         # left eigenvector (q, 1) at eigenvalue 1
-        col0 = q * tm.matrix[0][0] + tm.matrix[1][0]
-        col1 = q * tm.matrix[0][1] + tm.matrix[1][1]
-        assert col0 == q and col1 == 1
+        assert q * t[0][0] + t[1][0] == q and q * t[0][1] + t[1][1] == 1
 
 
-def test_transfer_matrix_eigendecomposition():
-    for q, a, b in [(2, 1, 1), (2, 0.97, 0.9412), (3, 0.9, 0.95)]:
-        tm = TransferMatrix(q, a, b)
-        p, d = tm.eigen()
-        assert tm.eigen() is tm.eigen()  # cached
-        # T P = P D column by column
-        for col in range(2):
-            tp = [
-                tm.matrix[0][0] * p[0][col] + tm.matrix[0][1] * p[1][col],
-                tm.matrix[1][0] * p[0][col] + tm.matrix[1][1] * p[1][col],
-            ]
-            pd = [p[0][col] * d[col][col], p[1][col] * d[col][col]]
-            assert float(tp[0]) == pytest.approx(float(pd[0]), abs=1e-14)
-            assert float(tp[1]) == pytest.approx(float(pd[1]), abs=1e-14)
+def test_transfer_chain_noisy_eigenvalues():
+    for q, a, b in [(2, 0.97, 0.9412), (3, 0.9, 0.95), (2, 0.9, 0.8)]:
+        t = _bulk_matrix(TrivalentRule(q, alpha=a, beta=b))
+        trace, det = t[0][0] + t[1][1], t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        assert 1 - trace + det == pytest.approx(0, abs=1e-14)
+        assert det == pytest.approx(noisy_lambda2(q, a, b), abs=1e-14)
+        assert q * t[0][0] + t[1][0] == pytest.approx(q, abs=1e-14)
+        assert q * t[0][1] + t[1][1] == pytest.approx(1, abs=1e-14)
 
 
 def test_single_wall_rejects_noisy_rule():
@@ -215,14 +235,16 @@ def test_single_wall_rejects_noisy_rule():
 
 def test_transfer_matches_paper_entries():
     q, a, b = 2, 0.9, 0.8
-    tm = TransferMatrix(q, a, b)
+    rule = TrivalentRule(q, alpha=a, beta=b)
+    t = _bulk_matrix(rule)
     d4 = q**4 - 1
-    assert tm.matrix[0][0] == pytest.approx(q * q * (q * q - a) / d4)
-    assert tm.matrix[0][1] == pytest.approx((1 - a * b) * q**3 / d4)
-    assert tm.matrix[1][0] == pytest.approx(q * (a * q * q - 1) / d4)
-    assert tm.matrix[1][1] == pytest.approx((a * b * q**4 - 1) / d4)
-    assert tm.modified[0][0] == pytest.approx(q * (q * q - a) / d4)
-    assert tm.subleading == pytest.approx(a * q * q * (b * q * q - 1) / d4)
+    assert t[0][0] == pytest.approx(q * q * (q * q - a) / d4)
+    assert t[0][1] == pytest.approx((1 - a * b) * q**3 / d4)
+    assert t[1][0] == pytest.approx(q * (a * q * q - 1) / d4)
+    assert t[1][1] == pytest.approx((a * b * q**4 - 1) / d4)
+    assert statmech._chain_node(rule)[0][0] == pytest.approx(q * (q * q - a) / d4)
+    det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+    assert det == pytest.approx(a * q * q * (b * q * q - 1) / d4)
 
 
 def test_transfer_fidelity_noiseless_targets():
@@ -257,6 +279,20 @@ def test_noisy_transfer_matches_twirl():
         tw = exact_twirl_fidelity(layout, target, channel=channel).value
         tr = transfer_fidelity(2, 5, target, stats.alpha, stats.beta, stats.recycled_boundary).value
         assert tr == pytest.approx(tw, abs=1e-12)
+        assert transfer_fidelity(2, 5, target, rule=_rule(channel)).value == tr
+
+
+def test_rule_for_another_q_refused():
+    lattice = make_lattice(Family.CONVOLUTIONAL, 5, 1, 2, RecycleTarget.single(1))
+    target = RecycleTarget.single(1)
+    for rule in (TrivalentRule(3), TrivalentRule(3, alpha=0.9, beta=0.9)):
+        with pytest.raises(InvalidParameterError):
+            partition_sum_exhaustive(lattice, rule)
+        with pytest.raises(InvalidParameterError):
+            transfer_fidelity(2, 5, target, rule=rule)
+    with pytest.raises(InvalidParameterError):
+        transfer_fidelity(2, 5, target, 0.9, rule=TrivalentRule(2))
+    assert transfer_fidelity(2, 5, target, rule=TrivalentRule(2)).value == transfer_fidelity(2, 5, target).value
 
 
 def _rule(channel):
@@ -329,6 +365,41 @@ def _factor_exponents(value: Fraction, q: int) -> tuple[int, int] | None:
     return tuple(exps) if num == den == 1 else None
 
 
+def _reference_node_table(node, q, alpha=1, beta=1, recycled=(1, 1)):
+    """Node weights from the second-moment Weingarten sum, test-only.
+
+    Entry (tau, e1, e2) is sum_sigma Wg(sigma, tau) <e1|sigma> <e2|sigma>
+    times the legs' constants and the bottom factors at tau.  With
+    d = q^2, Wg is 1/(d^2-1) for sigma = tau and -1/(d(d^2-1)) otherwise;
+    a leg overlap is q for differing spins, q^2 for equal ones, and q^2
+    times the leg's dressing when both are S.
+    """
+    d = q * q
+    wg_same, wg_diff = Fraction(1, d * d - 1), Fraction(-1, d * (d * d - 1))
+    dressing = {"none": 1, "alpha": alpha, "beta": beta}
+    bottom = {"kept": (q, 1), "fixed_one": (q * q, q), "fixed_one_t": (q, 1), "recycled": recycled}
+    leg1, leg2 = node.legs
+
+    def overlap(leg, e, sigma):
+        if e != sigma:
+            return q
+        return q * q * (dressing[leg.dress] if sigma == S else 1)
+
+    out = {}
+    for tau in (ONE, S):
+        bfac = 1
+        for kind in node.bottoms:
+            bfac *= bottom[kind][tau]
+        for e1 in (ONE, S) if leg1.eff is None else (leg1.eff,):
+            for e2 in (ONE, S) if leg2.eff is None else (leg2.eff,):
+                total = sum(
+                    (wg_same if sigma == tau else wg_diff) * overlap(leg1, e1, sigma) * overlap(leg2, e2, sigma)
+                    for sigma in (ONE, S)
+                )
+                out[int(tau), int(e1), int(e2)] = total * leg1.const * leg2.const * bfac
+    return out
+
+
 def _reference_partition_sum(lattice, rule=None, chunk=1 << 20):
     """Sum over all 2^g spin assignments (the former evaluator), test-only.
 
@@ -338,10 +409,10 @@ def _reference_partition_sum(lattice, rule=None, chunk=1 << 20):
     """
     q, g = lattice.q, lattice.free_node_count
     noisy = rule is not None and rule.noisy
-    alpha, beta, recycled = statmech._rule_params(rule)
+    params = (rule.alpha, rule.beta, tuple(rule.recycled_boundary)) if noisy else ()
     tables = []  # (node, leg-1 bit, leg-2 bit, cases indexed own | e1 << 1 | e2 << 2)
     for node in lattice.nodes:
-        table = statmech._node_weight_table(node, q, alpha, beta, recycled)
+        table = _reference_node_table(node, q, *params)
         leg1, leg2 = node.legs
         cases = [
             table[own, int(leg1.eff) if leg1.ref is None else b1, int(leg2.eff) if leg2.ref is None else b2]
@@ -416,6 +487,22 @@ def _covered_shapes():
     shapes.update((Family.LOCAL, 4, m, 2, RecycleTarget.single(t)) for m in (2, 4, 6) for t in (2, 3))
     shapes.update([(Family.HYBRID, 6, 5, 2, one), (Family.HYBRID, 4, 10, 3, one)])
     return sorted(shapes, key=lambda s: (s[0].value, s[1], s[2], s[3], str(s[4])))
+
+
+def test_rule_table_equals_reference_on_covered_lattices():
+    lattices = {(family, n, m, target) for family, n, m, _, target in _covered_shapes()}
+    for family, n, m, target in sorted(lattices, key=str):
+        for q in (2, 3, 5):
+            lattice = make_lattice(family, n, m, q, target)
+            clean = TrivalentRule(q)
+            noisy = TrivalentRule(q, alpha=0.93, beta=0.81, recycled_boundary=(0.97, 0.88))
+            for node in lattice.nodes:
+                assert clean.table(node) == _reference_node_table(node, q), (family, n, m, q, target, node.index)
+                got = noisy.table(node)
+                want = _reference_node_table(node, q, 0.93, 0.81, (0.97, 0.88))
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert got[key] == pytest.approx(value, abs=1e-14), (family, n, m, q, target, node.index, key)
 
 
 def test_frontier_equals_reference_on_covered_lattices():
