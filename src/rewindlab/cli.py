@@ -162,9 +162,8 @@ def _evaluate(
         if shape.family is Family.HYBRID:
             return closedform.hybrid_fidelity(q, n, shape.m)
         return closedform.local_fidelity(q, n, shape.m)
-    rule = statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
     if method == "transfer":
-        return statmech.transfer_fidelity(q, n, target, rule=rule)
+        return statmech.transfer_fidelity(q, n, target, a, b, rb)
     layout = protocol_layout(shape, target)
     if method == "twirl":
         return oracle.exact_twirl_fidelity(layout, target, channel=channel)
@@ -173,7 +172,7 @@ def _evaluate(
     lattice = statmech.lattice_from_circuit(layout, target)
     if method == "wall":
         return statmech.single_wall_fidelity(lattice)
-    return statmech.partition_sum_exhaustive(lattice, rule)
+    return statmech.partition_sum_exhaustive(lattice, statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb))
 
 
 def _parse_methods(text: str) -> list[str]:

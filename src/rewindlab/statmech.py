@@ -244,11 +244,6 @@ def _resolve_leg(leg: LatticeLeg, spins) -> S2Spin:
     return leg.eff if leg.ref is None else S2Spin(spins[leg.ref])
 
 
-def _check_rule_q(rule: TrivalentRule, q: int) -> None:
-    if rule.q != q:
-        raise InvalidParameterError(f"rule is for q={rule.q} but the model has q={q}")
-
-
 def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
     """Averaged fidelity as the full configuration sum, by variable elimination.
 
@@ -271,8 +266,8 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     sum would leave that boundary out and return a wrong number.  A rule
     for another q raises :class:`InvalidParameterError`.
     """
-    if rule is not None:
-        _check_rule_q(rule, lattice.q)
+    if rule is not None and rule.q != lattice.q:
+        raise InvalidParameterError(f"rule is for q={rule.q} but the lattice has q={lattice.q}")
     if rule is None or not rule.noisy:
         rule = TrivalentRule(lattice.q)  # exact, even if the given rule holds float ones
     if lattice.undressed and tuple(rule.recycled_boundary) != (1, 1):
@@ -405,8 +400,6 @@ def transfer_fidelity(
     alpha: float | Fraction = 1,
     beta: float | Fraction = 1,
     recycled_factors: tuple = (1, 1),
-    *,
-    rule: TrivalentRule | None = None,
 ) -> FidelityResult:
     """Convolutional-chain fidelity as a product of 2x2 node matrices.
 
@@ -414,17 +407,11 @@ def transfer_fidelity(
     j+1 to its own through :func:`_chain_node`; its input wires then
     multiply in their boundary factors.  ``recycled_factors`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
-    the measurement; (1, 1) is the noiseless value.  ``rule`` gives
-    alpha, beta and that boundary as one :class:`TrivalentRule` instead;
-    it must be for ``q``, and the three scalars then keep their defaults.
+    the measurement; (1, 1) is the noiseless value.
     """
     if n < 3:
         raise ValueError("chain needs n >= 3")
-    if rule is None:
-        rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
-    elif (alpha, beta, tuple(recycled_factors)) != (1, 1, (1, 1)):
-        raise InvalidParameterError("give the noise either as a rule or as alpha, beta and recycled_factors")
-    _check_rule_q(rule, q)
+    rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
     node = _chain_node(rule)
     r_one, r_s = rule.recycled_boundary
     exact = isinstance(node[0][0], Fraction) and all(isinstance(x, (int, Fraction)) for x in (r_one, r_s))
