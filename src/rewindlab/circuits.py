@@ -154,10 +154,6 @@ class GateSlot:
     gate_id: int
     dagger: bool = False
 
-    @property
-    def tag(self) -> str:
-        return "rewound" if self.dagger else "forward"
-
 
 @dataclass(frozen=True)
 class GateLayout:

@@ -338,11 +338,17 @@ def paths(start, end, s, t, method):
     """Count monotone paths confined to the diagonal band."""
     from rewindlab import pathcount
 
+    backends = ["reflection", "trig", "dp"]
     try:
         a = tuple(int(x) for x in start.split(","))
         b = tuple(int(x) for x in end.split(","))
+        if len(a) != 2 or len(b) != 2:
+            raise click.UsageError(f"points are two integers a,b; got {start!r} and {end!r}")
         band = pathcount.BandConstraint(s, t)
-        names = ["reflection", "trig", "dp"] if method == "all" else [m.strip() for m in method.split(",")]
+        names = backends if method == "all" else [m.strip() for m in method.split(",")]
+        for name in names:
+            if name not in backends:
+                raise click.UsageError(f"unknown method {name!r}; choose from {','.join(backends)} or all")
     except (ValueError, RewindlabError) as exc:
         raise click.UsageError(str(exc))
     for name in names:
@@ -377,6 +383,8 @@ def compare(family, target, alpha, beta, channel_path, q, n, m, tolerance):
     try:
         shape, tgt = CircuitShape(Family(family), n, m, q), RecycleTarget.parse(target)
         tgt.validate(n)
+        if not tolerance >= 0:  # NaN fails every comparison
+            raise click.UsageError(f"--tolerance {tolerance} must be a number >= 0")
     except (RewindlabError, ValueError) as exc:
         raise click.UsageError(str(exc))
     channel, stats = _load_channel(channel_path, alpha, beta)

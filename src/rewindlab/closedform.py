@@ -20,6 +20,17 @@ and the exact twirl:
 * the noisy finite-n expression keeps the noiseless exponent convention
   (n - i at the recycled position), and the recycled-qudit boundary is
   dressed by the adjoint channel of the final rewinding gate.
+
+The noisy convolutional fidelity is one expression for every recycled
+boundary (r1, rs).  With d4 = q^4 - 1, k = n - max(i, 2) and
+lam2 = alpha q^2 (beta q^2 - 1) / d4,
+
+    a0 = q^2 (q^2 - alpha) / d4,   a1 = q (alpha q^2 - 1) / d4
+    F_i = [r1 (a0 - lam2) + rs a1 - lam2^k (r1 (a0 - 1) + rs a1)] / (q (1 - lam2))
+
+:func:`noisy_conv_fidelity` derives it from the chain's eigenvalues 1
+and lam2.  It is written out here, not read from the lattice's node
+table, so the ``closed`` and ``transfer`` routes share no code.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from functools import lru_cache
 from rewindlab.circuits import RecycleTarget
 from rewindlab.errors import (
     DivergentEigenvalueError,
+    InvalidParameterError,
     InvalidTargetError,
     TooLargeError,
     UnsupportedRegimeError,
@@ -276,34 +288,40 @@ def noisy_conv_fidelity(
 ) -> FidelityResult:
     """Noisy convolutional fidelity for recycling qudit i, in closed form.
 
-        F_i = sup - (q-1)/q (alpha q^2 - 1)/D * lam2^(n - max(i, 2))
+    With d4 = q^4 - 1, k = n - max(i, 2), lam2 the subleading eigenvalue
+    (:func:`noisy_lambda2`) and (r1, rs) the recycled boundary,
 
-    with D = (1-alpha beta)q^4 + alpha q^2 - 1 and lam2 the subleading
-    transfer eigenvalue.  The exponent keeps the noiseless n-i convention
-    (recycling qudit 1 and 2 coincide); the twirl oracle rules out the
-    variant with one extra power of lam2.  With a dressed recycled
-    boundary the value is evaluated through the chain product instead;
-    either way it agrees with :func:`rewindlab.statmech.transfer_fidelity`
-    to 1e-12.
+        a0 = q^2 (q^2 - alpha) / d4,   a1 = q (alpha q^2 - 1) / d4
+        F_i = [r1 (a0 - lam2) + rs a1 - lam2^k (r1 (a0 - 1) + rs a1)] / (q (1 - lam2))
+
+    Derivation: a chain node maps the next node's spin to its own; with a
+    kept input wire it is A = diag(q, 1) N, whose column at ONE is
+    (a0, a1).  A has the eigenvalue 1 with left eigenvector (q, 1), so the
+    nodes below the recycled wire contract to that vector and
+    F_i = (r1, rs) A^k e_ONE / q.  For a 2x2 matrix with eigenvalues 1 and
+    lam2, A^k = [(A - lam2) - lam2^k (A - 1)] / (1 - lam2).  The exponent
+    keeps the noiseless n - i convention (recycling qudit 1 and 2
+    coincide); the twirl oracle rules out the variant with one extra power
+    of lam2.  With an undressed boundary, r1 = rs = 1, this reduces to
+    :func:`noisy_sup_fidelity` - (q-1)/q (alpha q^2 - 1)/D lam2^k with
+    D = (1 - alpha beta) q^4 + alpha q^2 - 1.
     """
     if target is None:
         target = RecycleTarget.single(1)
     if target.kind != "single":
         raise InvalidTargetError("closed noisy form covers single-qudit targets")
+    target.validate(n)
     if not 0 < alpha <= 1 or beta <= 0:
-        raise InvalidTargetError("need 0 < alpha <= 1 and beta > 0")
+        raise InvalidParameterError("need 0 < alpha <= 1 and beta > 0")
     lam2 = noisy_lambda2(q, alpha, beta)
     if abs(lam2) >= 1:
         raise DivergentEigenvalueError(f"subleading eigenvalue {lam2} has modulus >= 1")
-
-    if tuple(recycled_boundary) == (1.0, 1.0) or tuple(recycled_boundary) == (1, 1):
-        i = max(target.indices[0], 2)
-        den = (1 - alpha * beta) * q**4 + alpha * q * q - 1
-        value = noisy_sup_fidelity(q, alpha, beta) - (q - 1) / q * (alpha * q * q - 1) / den * lam2 ** (n - i)
-    else:
-        from rewindlab.statmech import transfer_fidelity
-
-        value = float(transfer_fidelity(q, n, target, alpha, beta, recycled_boundary).value)
+    d4 = q**4 - 1
+    a0 = q * q * (q * q - alpha) / d4
+    a1 = q * (alpha * q * q - 1) / d4
+    r1, rs = recycled_boundary
+    k = n - max(target.indices[0], 2)
+    value = (r1 * (a0 - lam2) + rs * a1 - lam2**k * (r1 * (a0 - 1) + rs * a1)) / (q * (1 - lam2))
     return FidelityResult(value=value, method="closed")
 
 

@@ -37,10 +37,6 @@ class UnsupportedRegimeError(RewindlabError):
     """Parameters fall outside the regimes covered by a closed form."""
 
 
-class NoisyRuleError(RewindlabError):
-    """A noiseless-only evaluator was called with a noisy rule."""
-
-
 class DivergentEigenvalueError(RewindlabError):
     """Transfer-matrix subleading eigenvalue has modulus >= 1."""
 

@@ -93,10 +93,6 @@ class ChannelStats:
     recycled_one: float = 1.0
     recycled_s: float = 1.0
 
-    @classmethod
-    def identity(cls) -> "ChannelStats":
-        return cls(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
     @property
     def recycled_boundary(self) -> tuple[float, float]:
         return (self.recycled_one, self.recycled_s)
@@ -217,20 +213,6 @@ def amplitude_damping(q: int, gamma: float) -> KrausChannel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     return KrausChannel((k0, k1), arity=1)
-
-
-def make_channel(kind: str, q: int, param: float | None = None) -> KrausChannel:
-    if kind == "identity":
-        return identity_channel(q)
-    if param is None:
-        raise InvalidParameterError(f"channel kind {kind!r} needs a parameter")
-    if kind == "depolarizing":
-        return depolarizing(q, param)
-    if kind == "dephasing":
-        return dephasing(q, param)
-    if kind == "amplitude_damping":
-        return amplitude_damping(q, param)
-    raise InvalidParameterError(f"unknown channel kind {kind!r}")
 
 
 def random_channel(q: int, rank: int, rng: np.random.Generator) -> KrausChannel:

@@ -55,6 +55,9 @@ if TYPE_CHECKING:
 # q=3 up to n=4 by default).
 DEFAULT_MAX_ELEMENTS = 1 << 26
 
+# Largest state dimension q^n of noisy (density-matrix) Monte Carlo.
+MAX_DENSITY_DIM = 1 << 10
+
 # Elements per sub-batch of noisy Monte-Carlo samples (folded density
 # vectors or per-sample slot matrices, whichever is larger).
 _DENSITY_BATCH_ELEMENTS = 1 << 20
@@ -337,13 +340,12 @@ def mc_average_fidelity(
     channel: "KrausChannel | None" = None,
     samples: int = 10_000,
     rng: SeededRng | int = 0,
-    max_density_dim: int = 1 << 10,
 ) -> FidelityResult:
     """Monte-Carlo estimate of the averaged fidelity.
 
     Noiseless runs use batched pure-state simulation; with a channel the
     samples evolve as batched folded density vectors, one matmul per slot,
-    with the state dimension q^n capped at ``max_density_dim``.
+    with the state dimension q^n capped at ``MAX_DENSITY_DIM``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -352,7 +354,7 @@ def mc_average_fidelity(
     targeted = target.qudits(layout.n)
     if channel is not None:
         check_channel_dim(channel, layout.q)
-        if layout.q ** layout.n > max_density_dim:
+        if layout.q ** layout.n > MAX_DENSITY_DIM:
             raise TooLargeError("density-matrix simulation exceeds dimension cap")
 
     plan = []

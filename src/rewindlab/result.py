@@ -19,10 +19,6 @@ class FidelityResult:
     method: str
     stderr: float | None = None
 
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
-
     def __str__(self) -> str:
         if isinstance(self.value, Fraction):
             decimal = f"{float(self.value):.15g}"

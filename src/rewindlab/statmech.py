@@ -47,7 +47,7 @@ from enum import IntEnum
 from fractions import Fraction
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import InvalidParameterError, NoisyRuleError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
 from rewindlab.result import FidelityResult
 
 # Largest frontier partition_sum_exhaustive builds; see its docstring.
@@ -346,16 +346,14 @@ def enumerate_support(lattice: DiagramLattice):
     return found
 
 
-def single_wall_fidelity(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
+def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
     """Sum of all weighted single-domain-wall configurations.
 
     Valid only for the noiseless model, where the nonzero-weight
     configurations are exactly the single-wall ones; equals the exhaustive
-    partition sum there.  A noisy rule is rejected: multiple walls carry
-    weight once the trivalent zeros are lifted.
+    partition sum there.  With noise multiple walls carry weight once the
+    trivalent zeros are lifted, so there is no noisy variant.
     """
-    if rule is not None and rule.noisy:
-        raise NoisyRuleError("single-wall reduction holds only for the noiseless rule")
     total = Fraction(0)
     for _, w in enumerate_support(lattice):
         total += w

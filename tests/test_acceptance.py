@@ -249,6 +249,9 @@ def test_criterion_7_noise():
             twirl = exact_twirl_fidelity(layout, target, channel=channel).value
             chain = transfer_fidelity(2, n, target, stats.alpha, stats.beta, stats.recycled_boundary).value
             assert abs(twirl - chain) < TWIRL_TOL, (p, n)
+            # the closed form with the same dressed boundary, independently
+            dressed = noisy_conv_fidelity(2, n, stats.alpha, stats.beta, target, stats.recycled_boundary).value
+            assert abs(twirl - dressed) < TWIRL_TOL, (p, n)
             # the exponent convention: the closed noisy form with the
             # noiseless n-i exponent matches the same chain (undressed)
             undressed = transfer_fidelity(2, n, target, stats.alpha, stats.beta).value
@@ -267,7 +270,7 @@ def test_criterion_7_noise():
                 * transfer_fidelity(2, n, RecycleTarget.single(j), alpha, 1.0).value
             )
             assert abs(corr - lim) < 1e-6, (alpha, gap)
-    print(f"\nACCEPTANCE 7 PASS: transfer==twirl at p in (0.01, 0.04) over n=4..6 ({pairs} cases), "
+    print(f"\nACCEPTANCE 7 PASS: transfer==closed==twirl at p in (0.01, 0.04) over n=4..6 ({pairs} cases), "
           f"correlation limit at n=40, {time.time() - start:.1f}s")
 
 

@@ -48,8 +48,7 @@ def test_small_n_rejected():
 def test_rewound_slots_invert_idle_prefix():
     target = RecycleTarget.single(1)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
-    tags = [s.tag for s in layout.slots]
-    assert tags == ["forward", "forward", "rewound"]
+    assert [s.dagger for s in layout.slots] == [False, False, True]
     rewound = [s for s in layout.slots if s.dagger]
     forward_ids = [s.gate_id for s in layout.slots if not s.dagger and set(s.qudits) <= layout.idle]
     assert [s.gate_id for s in rewound] == list(reversed(forward_ids))

@@ -428,3 +428,28 @@ def test_route_command_options_unchanged(command):
     params = main.commands[command].params
     found = {p.name: (tuple(p.opts), p.required, None if p.required else p.default) for p in params}
     assert found == ROUTE_COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("start,end", [("0,0", "2"), ("0,0,1", "2,2"), ("0", "2,2")])
+def test_paths_point_not_two_integers_is_usage_error(runner, start, end):
+    result = runner.invoke(main, ["paths", "--from", start, "--to", end, "--s", "-1", "--t", "1"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "points are two integers" in result.output
+
+
+def test_paths_unknown_method_is_usage_error(runner):
+    result = runner.invoke(main, ["paths", "--from", "0,0", "--to", "2,2", "--s", "-1", "--t", "1", "--method", "dp,nosuch"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "unknown method 'nosuch'" in result.output
+    assert "dp:" not in result.output  # refused before any count
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1e-9"])
+def test_compare_nan_or_negative_tolerance_is_usage_error(runner, tolerance):
+    # nan let every deviation pass; a negative tolerance failed every run
+    result = runner.invoke(main, ["compare", "--n", "4", "--tolerance", tolerance])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "--tolerance" in result.output

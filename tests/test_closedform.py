@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,14 +21,18 @@ from rewindlab.closedform import (
     local_shallow,
     noisy_conv_correlation_limit,
     noisy_conv_fidelity,
+    noisy_lambda2,
     noisy_sup_fidelity,
 )
 from rewindlab.errors import (
     DivergentEigenvalueError,
+    InvalidParameterError,
     InvalidTargetError,
     TooLargeError,
     UnsupportedRegimeError,
 )
+from rewindlab.noise import amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
+from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import lattice_from_circuit, partition_sum_exhaustive, transfer_fidelity
 
 
@@ -308,18 +313,16 @@ def test_noisy_closed_vs_transfer_two_paths():
 
 def test_noisy_exponent_convention():
     # the noiseless limit of the closed form is the noiseless formula with
-    # the same n - i exponent (not n - i + 1)
-    q = 2
-    for n in (5, 8):
-        for i in (1, 2, 3):
-            noisy = noisy_conv_fidelity(q, n, 1.0, 1.0, RecycleTarget.single(i)).value
-            clean = float(conv_fidelity(q, n, RecycleTarget.single(i)).value)
-            assert noisy == pytest.approx(clean, abs=1e-13)
+    # the same n - i exponent (not n - i + 1), exactly with exact inputs
+    for q in (2, 3):
+        for n in (5, 8):
+            for i in (1, 2, 3):
+                target = RecycleTarget.single(i)
+                noisy = noisy_conv_fidelity(q, n, Fraction(1), Fraction(1), target, (1, 1)).value
+                assert noisy == conv_fidelity(q, n, target).value
 
 
 def test_noisy_sup_matches_transfer_asymptote():
-    from rewindlab.noise import channel_stats, depolarizing
-
     stats = channel_stats(depolarizing(2, 0.04))
     sup = noisy_sup_fidelity(2, stats.alpha, stats.beta)
     assert sup < 1
@@ -327,25 +330,89 @@ def test_noisy_sup_matches_transfer_asymptote():
     assert sup == pytest.approx(far, abs=1e-12)
 
 
-def test_noisy_closed_dephasing_takes_formula_branch(monkeypatch):
-    from rewindlab import statmech
-    from rewindlab.noise import channel_stats, dephasing
-
-    stats = channel_stats(dephasing(2, 0.05))
-    params = (stats.alpha, stats.beta, stats.recycled_boundary)
-    expected = {
-        (n, i): float(transfer_fidelity(2, n, RecycleTarget.single(i), *params).value)
-        for n in (4, 7, 11)
-        for i in (1, 2, 3)
+def _noisy_channels():
+    """Channels with a dressed recycled boundary (all but dephasing) and one without."""
+    return {
+        "dep2": depolarizing(2, 0.05),
+        "deph2": dephasing(2, 0.05),
+        "ad2": amplitude_damping(2, 0.05),
+        "rand2": random_channel(2, 2, np.random.default_rng(2301)),
+        "dep3": depolarizing(3, 0.05),
     }
 
+
+def _noisy_closed(channel, n, i):
+    stats = channel_stats(channel)
+    q = channel.qudit_dim()
+    return noisy_conv_fidelity(q, n, stats.alpha, stats.beta, RecycleTarget.single(i), stats.recycled_boundary).value
+
+
+def test_noisy_closed_never_calls_transfer(monkeypatch):
+    from rewindlab import statmech
+
+    channels = _noisy_channels()
+    expected = {}
+    for name, channel in channels.items():
+        stats = channel_stats(channel)
+        params = (stats.alpha, stats.beta, stats.recycled_boundary)
+        for n in (4, 7, 11):
+            for i in (1, 2, 3):
+                chain = transfer_fidelity(channel.qudit_dim(), n, RecycleTarget.single(i), *params).value
+                expected[name, n, i] = float(chain)
+
     def no_chain(*args, **kwargs):
-        raise AssertionError("dephasing must not need the chain product")
+        raise AssertionError("the closed form must not need the chain product")
 
     monkeypatch.setattr(statmech, "transfer_fidelity", no_chain)
-    for (n, i), chain in expected.items():
-        value = noisy_conv_fidelity(2, n, stats.alpha, stats.beta, RecycleTarget.single(i), stats.recycled_boundary)
-        assert value.value == pytest.approx(chain, abs=1e-12)
+    for (name, n, i), chain in expected.items():
+        assert _noisy_closed(channels[name], n, i) == pytest.approx(chain, abs=1e-12), (name, n, i)
+
+
+def test_noisy_closed_matches_twirl_with_dressed_boundary():
+    channels = _noisy_channels()
+    cases = [(name, n) for name in ("dep2", "ad2", "rand2") for n in (3, 4, 5)] + [("dep3", 3)]
+    for name, n in cases:
+        channel = channels[name]
+        q = channel.qudit_dim()
+        for i in range(1, n):
+            target = RecycleTarget.single(i)
+            layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, q), target)
+            twirl = exact_twirl_fidelity(layout, target, channel=channel).value
+            assert _noisy_closed(channel, n, i) == pytest.approx(twirl, abs=1e-12), (name, n, i)
+
+
+def test_noisy_closed_matches_transfer_up_to_n200():
+    for name, channel in _noisy_channels().items():
+        stats = channel_stats(channel)
+        q = channel.qudit_dim()
+        params = (stats.alpha, stats.beta, stats.recycled_boundary)
+        for n in (3, 6, 13, 40, 100, 200):
+            for i in sorted({1, 2, 3, n // 2, n - 1} - {n}):
+                chain = float(transfer_fidelity(q, n, RecycleTarget.single(i), *params).value)
+                assert _noisy_closed(channel, n, i) == pytest.approx(chain, abs=1e-12), (name, n, i)
+
+
+def _printed_undressed_form(q, n, alpha, beta, i):
+    """The paper's form for an undressed boundary: sup - (q-1)/q (alpha q^2 - 1)/D lam2^(n - max(i, 2))."""
+    den = (1 - alpha * beta) * q**4 + alpha * q * q - 1
+    lam2 = noisy_lambda2(q, alpha, beta)
+    return noisy_sup_fidelity(q, alpha, beta) - (q - 1) / q * (alpha * q * q - 1) / den * lam2 ** (n - max(i, 2))
+
+
+def test_undressed_closed_equals_printed_form():
+    for q in (2, 3, 5):
+        for alpha in (0.5, 0.8, 0.97, 1.0):
+            for beta in (0.6, 0.9, 1.0):
+                for n in (3, 4, 7, 15, 30):
+                    for i in range(1, n):
+                        value = noisy_conv_fidelity(q, n, alpha, beta, RecycleTarget.single(i)).value
+                        assert value == pytest.approx(_printed_undressed_form(q, n, alpha, beta, i), abs=1e-14)
+
+
+def test_noisy_closed_out_of_domain_is_parameter_error():
+    for alpha, beta in [(0.0, 0.9), (-0.1, 0.9), (1.2, 0.9), (0.9, 0.0), (0.9, -0.5)]:
+        with pytest.raises(InvalidParameterError):
+            noisy_conv_fidelity(2, 5, alpha, beta)
 
 
 def test_noisy_divergence_guard():

@@ -10,7 +10,6 @@ from rewindlab.noise import (
     dephasing,
     depolarizing,
     identity_channel,
-    make_channel,
     random_channel,
     validate_channel,
 )
@@ -84,15 +83,10 @@ def test_amplitude_damping():
         amplitude_damping(3, 0.1)
 
 
-def test_make_channel_dispatch_and_param_checks():
-    assert make_channel("identity", 3).dim == 3
-    assert make_channel("depolarizing", 2, 0.1).dim == 2
+def test_channel_constructors_check_probability():
+    assert depolarizing(2, 0.1).dim == 2
     with pytest.raises(InvalidParameterError):
-        make_channel("depolarizing", 2, 1.5)
-    with pytest.raises(InvalidParameterError):
-        make_channel("nosuch", 2, 0.1)
-    with pytest.raises(InvalidParameterError):
-        make_channel("dephasing", 2, None)
+        depolarizing(2, 1.5)
 
 
 def test_alpha_range_over_random_channels():

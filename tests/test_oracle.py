@@ -85,6 +85,13 @@ def test_twirl_dimension_cap():
         exact_twirl_fidelity(layout, target, max_elements=1 << 26)
 
 
+def test_noisy_mc_dimension_cap():
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 11, 1, 2), target)
+    with pytest.raises(TooLargeError):
+        mc_average_fidelity(layout, target, channel=depolarizing(2, 0.04), samples=1)
+
+
 def test_twirl_determinism():
     target = RecycleTarget.single(2)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 4, 1, 2), target)

@@ -225,14 +225,6 @@ def test_transfer_chain_noisy_eigenvalues():
         assert q * t[0][1] + t[1][1] == pytest.approx(1, abs=1e-14)
 
 
-def test_single_wall_rejects_noisy_rule():
-    from rewindlab.errors import NoisyRuleError
-
-    lat = make_lattice(Family.CONVOLUTIONAL, 4, 1, 2, RecycleTarget.single(1))
-    with pytest.raises(NoisyRuleError):
-        single_wall_fidelity(lat, rule=TrivalentRule(2, alpha=0.9, beta=0.9))
-
-
 def test_transfer_matches_paper_entries():
     q, a, b = 2, 0.9, 0.8
     rule = TrivalentRule(q, alpha=a, beta=b)
