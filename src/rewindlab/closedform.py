@@ -306,6 +306,8 @@ def noisy_conv_fidelity(
     :func:`noisy_sup_fidelity` - (q-1)/q (alpha q^2 - 1)/D lam2^k with
     D = (1 - alpha beta) q^4 + alpha q^2 - 1.
     """
+    if n < 3:
+        raise InvalidTargetError("convolutional formulas need n >= 3")
     if target is None:
         target = RecycleTarget.single(1)
     if target.kind != "single":

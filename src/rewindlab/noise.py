@@ -153,9 +153,12 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
             raise ArithmeticError(f"{name} should be real, got {z}")
         return float(np.real(z))
 
+    # Cauchy-Schwarz bounds alpha and beta by 1 for a trace-preserving
+    # channel; a unitary one can round past it (beta = 1 + 4e-16 for a
+    # global phase at q = 3), which TrivalentRule would refuse.
     return ChannelStats(
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=min(float(alpha), 1.0),
+        beta=min(float(beta), 1.0),
         beta_u=as_real(bu, "beta_u"),
         beta_d=as_real(bd, "beta_d"),
         recycled_one=r_one,

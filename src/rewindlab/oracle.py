@@ -18,7 +18,11 @@ The twirl works on a four-copy vector with per-qudit copy blocks
 (c1, c2, c3, c4) = (rho-ket, rho-bra, proj-ket, proj-bra).  The rho block
 starts as |0><0|, the projector block as vec(|0><0|) on recycled qudits and
 vec(I) elsewhere; the final contraction pairs c1-c4 and c2-c3 on every
-qudit.  Each rewound gate contributes
+qudit.  Both are products over qudits, so a qudit joins the vector at its
+first gate, its initial block multiplied in as an outer product, and is
+capped off right after its last gate.  The vector holds only the live
+qudits, in index order: q^(4w) elements for the peak live width w, which
+is 2 for a convolutional sweep at every n.  Each rewound gate contributes
 
     sum_{sigma,tau} Wg(sigma tau^-1, d) |sigma>><<tau|      (d = q^2)
 
@@ -26,19 +30,23 @@ applied jointly to all four copies of its two qudits, which is the Haar
 average of U x U* x U x U*.  Non-rewound gates contribute the first moment
 (1/d)|Phi>><<Phi| on the (c1, c2) copies alone.
 
-Gates act on adjacent qudits (a, a+1), so the folded vector is kept flat
-and each gate is applied on its (pre, q^8, post) view, pre = q^(4(a-1)).
+Gates act on adjacent qudits (a, a+1), adjacent among the live ones too,
+so the folded vector is kept flat and each gate is applied on its
+(pre, q^8, post) view, pre = q^(4p) for p the live qudits before a.
 A second moment has rank 2: one matmul projects the q^8 block onto the two
 pairing states and one writes the Weingarten-mixed pair back.  A first
 moment sums the (c1, c2) diagonals and writes one outer product.  Channels
 act inside the same block, so they are folded into these small per-gate
 maps once and cost no pass over the vector.  Each gate thus reads the
-vector once and writes one new one: the peak is about two folded vectors.
+vector once and writes one new one: the peak is about two folded vectors
+of the peak width.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,8 +59,9 @@ from rewindlab.result import FidelityResult
 if TYPE_CHECKING:
     from rewindlab.noise import KrausChannel
 
-# Memory cap for the folded vector: q^(4n) elements (q=2 up to n=6,
-# q=3 up to n=4 by default).
+# Memory cap for the folded vector: q^(4w) elements for the peak live
+# width w (w <= 6 at q=2, w <= 4 at q=3 by default).  Conv sweeps have
+# w = 2 at any n; hybrid m >= 2 reaches w = n, local w = n - 1 or n.
 DEFAULT_MAX_ELEMENTS = 1 << 26
 
 # Largest state dimension q^n of noisy (density-matrix) Monte Carlo.
@@ -194,35 +203,34 @@ def _apply_first_moment(v: np.ndarray, first: np.ndarray, q: int, pre: int) -> n
     return (first[None, :, None, :, None] * rest[:, None, :, None, :]).reshape(-1)
 
 
-def _initial_vector(n: int, q: int, targeted: frozenset[int], dtype) -> np.ndarray:
-    v = np.ones((), dtype=dtype)
-    zero2 = np.zeros((q, q), dtype=dtype)
-    zero2[0, 0] = 1.0
-    phi = np.eye(q, dtype=dtype)
-    for i in range(1, n + 1):
-        proj = zero2 if i in targeted else phi
-        block = np.multiply.outer(zero2, proj)
-        v = np.multiply.outer(v, block)
-    return v.reshape(-1)
-
-
-def _final_contraction(v: np.ndarray, n: int, q: int):
-    s_cap = _pair_vectors(q)[1].reshape(-1)
-    for _ in range(n):
-        v = s_cap @ v.reshape(q**4, -1)
-    return v.item()
-
-
 def exact_twirl_fidelity(
     layout: GateLayout,
     target: RecycleTarget,
     channel: "KrausChannel | None" = None,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> FidelityResult:
-    """Haar-averaged fidelity by exact moment contraction (no sampling)."""
+    """Haar-averaged fidelity by exact moment contraction (no sampling).
+
+    The folded vector holds only the live qudits, those between their first
+    and last gate; ``max_elements`` caps it at its widest, q^(4w).
+    """
     n, q = layout.n, layout.q
-    if q ** (4 * n) > max_elements:
-        raise TooLargeError(f"folded vector q^(4n) = {q}^{4 * n} exceeds cap {max_elements}")
+    slots = layout.forward_slots
+    first_gate: dict[int, int] = {}
+    last_gate: dict[int, int] = {}
+    for k, slot in enumerate(slots):
+        for a in slot.qudits:
+            first_gate.setdefault(a, k)
+            last_gate[a] = k
+    live_change = [0] * (len(slots) + 1)
+    for a, k in first_gate.items():
+        live_change[k] += 1
+        live_change[last_gate[a] + 1] -= 1
+    width = max(accumulate(live_change))
+    if q ** (4 * width) > max_elements:
+        raise TooLargeError(
+            f"folded vector over {width} live qudits, q^(4w) = {q}^{4 * width}, exceeds cap {max_elements}"
+        )
     targeted = target.qudits(n)
     if not targeted <= layout.idle:
         raise TargetNotIdleError(f"target {sorted(targeted)} not idle")
@@ -231,20 +239,38 @@ def exact_twirl_fidelity(
 
     rho_sup, adj_sup = _pair_superops(channel, q)
     down, up, first = _gate_maps(q, rho_sup, adj_sup)
-    v = _initial_vector(n, q, targeted, np.result_type(down, up, first))
+    zero2 = np.zeros((q, q))
+    zero2[0, 0] = 1.0
+    s_cap = _pair_vectors(q)[1].ravel()
+    v = np.ones(1, dtype=np.result_type(down, up, first))
+    live: list[int] = []
     rewound = layout.rewound_ids
-    for slot in layout.forward_slots:
-        # Gates act on (a, a+1), adjacent by construction.  For a rewound
-        # gate the partner slot's channel acts below the node on the
-        # projector-side copies (adjoint channel), the forward slot's
-        # channel above it on the rho-side copies.
-        pre = q ** (4 * (slot.qudits[0] - 1))
+    # A qudit no gate touches would contribute <<s|block>> = 1 for either
+    # block, so only touched qudits enter the vector.
+    for k, slot in enumerate(slots):
+        for a in slot.qudits:
+            if first_gate[a] == k:
+                pos = bisect_left(live, a)
+                live.insert(pos, a)
+                block = np.multiply.outer(zero2, zero2 if a in targeted else np.eye(q)).reshape(-1, 1)
+                v = (v.reshape(q ** (4 * pos), 1, -1) * block).reshape(-1)
+        # Gates act on (a, a+1): no qudit sorts between them, so they are
+        # adjacent among the live ones.  For a rewound gate the partner
+        # slot's channel acts below the node on the projector-side copies
+        # (adjoint channel), the forward slot's channel above it on the
+        # rho-side copies.
+        pre = q ** (4 * live.index(slot.qudits[0]))
         if slot.gate_id in rewound:
             v = _apply(up, _apply(down, v, pre), pre)
         else:
             v = _apply_first_moment(v, first, q, pre)
+        for a in slot.qudits:
+            if last_gate[a] == k:
+                pos = live.index(a)
+                del live[pos]
+                v = (s_cap @ v.reshape(q ** (4 * pos), q**4, -1)).reshape(-1)
 
-    value = complex(_final_contraction(v, n, q))
+    value = complex(v.item())
     if abs(value.imag) > 1e-10:
         raise ArithmeticError(f"twirl contraction returned complex value {value}")
     return FidelityResult(value=float(value.real), method="twirl")

@@ -47,7 +47,13 @@ from enum import IntEnum
 from fractions import Fraction
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError, UnsupportedRegimeError
+from rewindlab.errors import (
+    InvalidParameterError,
+    InvalidShapeError,
+    TooLargeError,
+    UnsupportedFamilyError,
+    UnsupportedRegimeError,
+)
 from rewindlab.result import FidelityResult
 
 # Largest frontier partition_sum_exhaustive builds; see its docstring.
@@ -73,6 +79,12 @@ class TrivalentRule:
     alpha: float | Fraction = 1
     beta: float | Fraction = 1
     recycled_boundary: tuple = (1, 1)
+
+    def __post_init__(self):
+        # both are overlaps of a trace-preserving channel; NaN fails the test too
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise InvalidParameterError(f"{name} = {getattr(self, name)} is outside [0, 1]")
 
     @property
     def noisy(self) -> bool:
@@ -408,7 +420,7 @@ def transfer_fidelity(
     the measurement; (1, 1) is the noiseless value.
     """
     if n < 3:
-        raise ValueError("chain needs n >= 3")
+        raise InvalidShapeError("chain needs n >= 3")
     rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
     node = _chain_node(rule)
     r_one, r_s = rule.recycled_boundary

@@ -381,6 +381,21 @@ def test_noisy_closed_matches_twirl_with_dressed_boundary():
             assert _noisy_closed(channel, n, i) == pytest.approx(twirl, abs=1e-12), (name, n, i)
 
 
+def test_noisy_twirl_at_n40_matches_closed_and_transfer():
+    channels = _noisy_channels()
+    n = 40
+    for name in ("dep2", "ad2", "rand2"):
+        channel = channels[name]
+        stats = channel_stats(channel)
+        for i in (1, 2, 20, n - 1):
+            target = RecycleTarget.single(i)
+            layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, 2), target)
+            twirl = exact_twirl_fidelity(layout, target, channel=channel).value
+            chain = transfer_fidelity(2, n, target, stats.alpha, stats.beta, stats.recycled_boundary).value
+            assert twirl == pytest.approx(chain, abs=1e-12), (name, i)
+            assert twirl == pytest.approx(_noisy_closed(channel, n, i), abs=1e-12), (name, i)
+
+
 def test_noisy_closed_matches_transfer_up_to_n200():
     for name, channel in _noisy_channels().items():
         stats = channel_stats(channel)
@@ -413,6 +428,13 @@ def test_noisy_closed_out_of_domain_is_parameter_error():
     for alpha, beta in [(0.0, 0.9), (-0.1, 0.9), (1.2, 0.9), (0.9, 0.0), (0.9, -0.5)]:
         with pytest.raises(InvalidParameterError):
             noisy_conv_fidelity(2, 5, alpha, beta)
+
+
+def test_noisy_closed_refuses_n_below_3():
+    # conv_fidelity refuses the same size; no convolutional circuit has n < 3
+    for closed in (lambda: noisy_conv_fidelity(2, 2, 0.9, 0.9), lambda: conv_fidelity(2, 2, RecycleTarget.single(1))):
+        with pytest.raises(InvalidTargetError, match="n >= 3"):
+            closed()
 
 
 def test_noisy_divergence_guard():

@@ -100,6 +100,16 @@ def test_alpha_range_over_random_channels():
                 assert stats.beta >= -1e-12
 
 
+def test_unitary_channel_statistics_stay_at_most_one():
+    from rewindlab.statmech import TrivalentRule
+
+    for q in (2, 3):
+        for phi in np.linspace(0.01, 3, 40):
+            stats = channel_stats(KrausChannel((np.exp(1j * phi) * np.eye(q),), arity=1))
+            assert stats.alpha <= 1 and stats.beta <= 1
+            TrivalentRule(q, stats.alpha, stats.beta, stats.recycled_boundary)
+
+
 def _dense_fold_contraction(ops, q, out_u):
     """Reference route for beta_u/beta_d: dense q^8 x q^8 matrices.
 

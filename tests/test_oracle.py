@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
+from rewindlab.circuits import (
+    CircuitShape,
+    Family,
+    GateLayout,
+    GateSlot,
+    RecycleTarget,
+    apply_rewinding,
+    protocol_layout,
+)
 from rewindlab.errors import InvalidParameterError, TooLargeError
 from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing, identity_channel, random_channel
 from rewindlab import oracle
@@ -79,10 +87,24 @@ def test_twirl_hybrid_tower():
 
 
 def test_twirl_dimension_cap():
+    # two sweeps keep all seven qudits live at once: 2^(4*7) > 2^26
     target = RecycleTarget.single(1)
-    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 8, 1, 2), target)
-    with pytest.raises(TooLargeError):
+    layout = protocol_layout(CircuitShape(Family.HYBRID, 7, 2, 2), target)
+    with pytest.raises(TooLargeError, match="7 live qudits"):
         exact_twirl_fidelity(layout, target, max_elements=1 << 26)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_twirl_conv_n40_matches_closed_form(q):
+    from rewindlab.closedform import conv_fidelity
+
+    n = 40
+    targets = [RecycleTarget.single(i) for i in (1, 2, 20, n - 1)]
+    targets += [RecycleTarget.prefix(2), RecycleTarget.prefix(5), RecycleTarget.pair(21, 20), RecycleTarget.pair(n - 1, 2)]
+    for target in targets:
+        layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, q), target)
+        got = exact_twirl_fidelity(layout, target).value
+        assert got == pytest.approx(float(conv_fidelity(q, n, target).value), abs=1e-12), str(target)
 
 
 def test_noisy_mc_dimension_cap():
@@ -281,6 +303,19 @@ def test_twirl_matches_reference_contraction(shape, channel_name):
         assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), str(target)
 
 
+def test_twirl_places_joining_qudit_in_index_order():
+    """Right-to-left sweeps: each new qudit joins below the live ones."""
+    for q, n, channel_name in [(2, 4, "none"), (2, 4, "rand"), (3, 3, "none")]:
+        shape = CircuitShape(Family.CONVOLUTIONAL, n, 1, q)
+        slots = tuple(GateSlot((a, a + 1), gid) for gid, a in enumerate(range(n - 1, 0, -1)))
+        slots += tuple(GateSlot((a, a + 1), gid + n - 1) for gid, a in enumerate(range(1, n)))
+        for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
+            layout = apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target)
+            channel = _channel(channel_name)
+            got = exact_twirl_fidelity(layout, target, channel=channel).value
+            assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), (q, n, str(target))
+
+
 # -- reference density-matrix Monte Carlo ---------------------------------
 #
 # The per-sample loop the batched folded evolution replaced: each sample
@@ -389,6 +424,25 @@ def test_twirl_peak_memory_stays_near_two_folded_vectors(channel_name, itemsize)
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * q ** (4 * n) * itemsize
+
+
+@pytest.mark.parametrize("channel_name", ["none", "rand"])
+def test_twirl_peak_memory_follows_live_width_not_n(channel_name):
+    """A convolutional sweep keeps two qudits live at every n."""
+    channel = _channel(channel_name)
+    target = RecycleTarget.single(1)
+
+    def peak(n):
+        layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, 2), target)
+        exact_twirl_fidelity(layout, target, channel=channel)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            exact_twirl_fidelity(layout, target, channel=channel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 1.25 * peak(5)
 
 
 def test_channel_of_wrong_qudit_dimension_refused():

@@ -9,6 +9,7 @@ from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_lay
 from rewindlab.closedform import hybrid_fidelity, local_fidelity, noisy_lambda2
 from rewindlab.errors import (
     InvalidParameterError,
+    InvalidShapeError,
     TargetNotIdleError,
     TooLargeError,
     UnsupportedFamilyError,
@@ -278,6 +279,25 @@ def test_rule_for_another_q_refused():
     for rule in (TrivalentRule(3), TrivalentRule(3, alpha=0.9, beta=0.9)):
         with pytest.raises(InvalidParameterError):
             partition_sum_exhaustive(lattice, rule)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5, 1.2), (1.0, 1.2), (-0.1, 0.9), (0.9, -0.1), (float("nan"), 0.9), (0.9, float("nan"))])
+def test_rule_and_transfer_refuse_statistics_outside_unit_interval(alpha, beta):
+    # a fidelity above 1 came out of transfer_fidelity(2, 6, single(1), 1.5, 1.2)
+    with pytest.raises(InvalidParameterError):
+        TrivalentRule(2, alpha=alpha, beta=beta)
+    with pytest.raises(InvalidParameterError):
+        transfer_fidelity(2, 6, RecycleTarget.single(1), alpha, beta)
+
+
+def test_rule_accepts_unit_interval_ends():
+    for value in (0, 0.0, Fraction(0), 1, 1.0, Fraction(1)):
+        TrivalentRule(2, alpha=value, beta=value)
+
+
+def test_transfer_refuses_short_chain_with_shape_error():
+    with pytest.raises(InvalidShapeError, match="n >= 3"):
+        transfer_fidelity(2, 2, RecycleTarget.single(1))
 
 
 def _rule(channel):
