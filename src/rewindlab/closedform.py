@@ -42,6 +42,7 @@ from rewindlab.circuits import RecycleTarget
 from rewindlab.errors import (
     DivergentEigenvalueError,
     InvalidParameterError,
+    InvalidShapeError,
     InvalidTargetError,
     TooLargeError,
     UnsupportedRegimeError,
@@ -63,7 +64,7 @@ def _lam(q: int) -> Fraction:
 def conv_fidelity(q: int, n: int, target: RecycleTarget) -> FidelityResult:
     """Exact averaged fidelity of the single-sweep convolutional protocol."""
     if n < 3:
-        raise InvalidTargetError("convolutional formulas need n >= 3")
+        raise InvalidShapeError("convolutional formulas need n >= 3")
     target.validate(n)
     lam = _lam(q)
     if target.kind == "single":
@@ -214,7 +215,7 @@ def hybrid_n3(q: int, m: int) -> Fraction:
 def hybrid_fidelity(q: int, n: int, m: int) -> FidelityResult:
     """Recycling the first qudit of the m-sweep hybrid circuit."""
     if n < 3 or m < 1:
-        raise InvalidTargetError("hybrid needs n >= 3, m >= 1")
+        raise InvalidShapeError("hybrid needs n >= 3, m >= 1")
     value = hybrid_n3(q, m) if n == 3 else hybrid_general(q, n, m)
     return FidelityResult(value=value, method="closed")
 
@@ -254,7 +255,7 @@ def local_deep(q: int, n: int, m: int) -> Fraction:
 def local_fidelity(q: int, n: int, m: int) -> FidelityResult:
     """Recycling the first qudit of the n-qudit, depth-m brickwork."""
     if n % 2 or m % 2 or n < 4 or m < 2:
-        raise InvalidTargetError("local circuits need even n >= 4 and even m >= 2")
+        raise InvalidShapeError("local circuits need even n >= 4 and even m >= 2")
     if m <= n - 2:
         value = local_shallow(q, n, m)
     elif m >= n:
@@ -307,7 +308,7 @@ def noisy_conv_fidelity(
     D = (1 - alpha beta) q^4 + alpha q^2 - 1.
     """
     if n < 3:
-        raise InvalidTargetError("convolutional formulas need n >= 3")
+        raise InvalidShapeError("convolutional formulas need n >= 3")
     if target is None:
         target = RecycleTarget.single(1)
     if target.kind != "single":

@@ -8,11 +8,16 @@ Two routes:
   <psi|P|psi> (U, U^dag, U*, U^T), so its average is the second moment; a
   gate applied only once appears twice and averages to the first moment.
 * :func:`mc_average_fidelity` samples explicit Haar unitaries and runs the
-  protocol, giving an estimate with a standard error.  Noiseless samples
-  are batched state vectors; with a channel, samples are batched density
-  matrices folded into q^(2n) vectors with each qudit's (ket, bra) pair
-  adjacent, and a slot is one batched matmul by S (U x U*) on the
-  (pre, q^4, post) view, S the channel on the slot's two qudits.
+  protocol, giving an estimate with a standard error.  A batch of Haar
+  gates is a complex Ginibre draw orthonormalised for the whole batch at
+  once by classical Gram-Schmidt with one re-orthogonalisation.
+  Noiseless samples are batched state vectors over the live qudits: a
+  qudit joins in |0> at its first gate, and each slot is one batched
+  matmul by U on the (count, pre, q^2, post) view.  With a channel,
+  samples are batched density matrices folded into q^(2n) vectors with
+  each qudit's (ket, bra) pair adjacent, and a slot is one batched matmul
+  by S (U x U*) on the (pre, q^4, post) view, S the channel on the slot's
+  two qudits.
 
 The twirl works on a four-copy vector with per-qudit copy blocks
 (c1, c2, c3, c4) = (rho-ket, rho-bra, proj-ket, proj-bra).  The rho block
@@ -82,18 +87,27 @@ def weingarten_pair(d: int) -> tuple[float, float]:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary: complex Ginibre, QR, R-phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    qm, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return qm * (diag / np.abs(diag))
+    """One Haar-distributed unitary (see :func:`_haar_batch`)."""
+    return _haar_batch(dim, 1, rng)[0]
 
 
 def _haar_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries as a (count, dim, dim) view.
+
+    Complex Ginibre matrices are orthonormalised column by column for the
+    whole batch at once, stored columns-first and batch-last, by classical
+    Gram-Schmidt with one re-orthogonalisation ("twice is enough").  That
+    gives the Q of the QR factorisation whose R has a positive diagonal,
+    which is Haar distributed, so no phase fix follows.
+    """
     z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    qm, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return qm * (diag / np.abs(diag))[:, None, :]
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))  # cols[j, i, b] = z[b, i, j]
+    for j in range(dim):
+        v, done = cols[j], cols[:j]
+        for _ in range(2 if j else 0):
+            v -= np.einsum("kib,kb->ib", done, np.einsum("kib,ib->kb", done.conj(), v))
+        v /= np.sqrt(np.einsum("ib,ib->b", v.real, v.real) + np.einsum("ib,ib->b", v.imag, v.imag))
+    return cols.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -280,22 +294,40 @@ def exact_twirl_fidelity(
 
 
 def _run_pure_batch(layout: GateLayout, targeted: frozenset[int], rng: np.random.Generator, count: int) -> np.ndarray:
-    """Fidelities of ``count`` independent Haar draws (noiseless protocol)."""
+    """Fidelities of ``count`` independent Haar draws (noiseless protocol).
+
+    A qudit joins the batched state vector in |0> at its first gate, at its
+    sorted position among the live qudits, so each slot is one batched
+    matmul on the (count, pre, q^2, post) view of the live qudits only.
+    """
     n, q = layout.n, layout.q
     d = q * q
     gate_ids = sorted({s.gate_id for s in layout.slots})
     gates = {gid: _haar_batch(d, count, rng) for gid in gate_ids}
 
-    psi = np.zeros((count, q**n), dtype=complex)
-    psi[:, 0] = 1.0
+    psi = np.ones((count, 1), dtype=complex)
+    live: list[int] = []
+
+    def join(psi: np.ndarray, a: int) -> np.ndarray:
+        pos = bisect_left(live, a)
+        live.insert(pos, a)
+        grown = np.zeros((count, q**pos, q, psi.size // (count * q**pos)), dtype=complex)
+        grown[:, :, 0] = psi.reshape(count, q**pos, -1)
+        return grown
+
     for slot in layout.slots:
-        a = slot.qudits[0]  # acts on (a, a+1), adjacent by construction
+        for a in slot.qudits:
+            if a not in live:
+                psi = join(psi, a)
         g = gates[slot.gate_id]
         if slot.dagger:
             g = g.conj().transpose(0, 2, 1)
-        pre, post = q ** (a - 1), q ** (n - a - 1)
-        psi = psi.reshape(count, pre, d, post)
-        psi = np.einsum("bij,bpjq->bpiq", g, psi).reshape(count, q**n)
+        pre = q ** live.index(slot.qudits[0])  # acts on (a, a+1), adjacent among the live qudits
+        psi = np.matmul(g[:, None], psi.reshape(count, pre, d, -1))
+    for a in range(1, n + 1):
+        if a not in live:
+            psi = join(psi, a)
+    psi = psi.reshape(count, q**n)
 
     norms = np.abs(np.einsum("bi,bi->b", psi.conj(), psi))
     if np.max(np.abs(norms - 1.0)) > 1e-9:

@@ -27,6 +27,7 @@ from rewindlab.closedform import (
 from rewindlab.errors import (
     DivergentEigenvalueError,
     InvalidParameterError,
+    InvalidShapeError,
     InvalidTargetError,
     TooLargeError,
     UnsupportedRegimeError,
@@ -257,8 +258,10 @@ def test_hybrid_caps_and_domain():
         hybrid_general(2, 6, 13)
     with pytest.raises(UnsupportedRegimeError):
         hybrid_general(2, 3, 2)
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(InvalidShapeError):
         hybrid_fidelity(2, 2, 1)
+    with pytest.raises(InvalidShapeError):
+        hybrid_fidelity(2, 4, 0)
 
 
 # -- local ---------------------------------------------------------------------
@@ -287,9 +290,9 @@ def test_local_deep_approaches_one_over_q():
 
 def test_local_regime_gap_rejected():
     # even-parity geometry leaves no m strictly between n-2 and n
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(InvalidShapeError):
         local_fidelity(2, 6, 5)
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(InvalidShapeError):
         local_fidelity(2, 5, 4)
 
 
@@ -431,10 +434,16 @@ def test_noisy_closed_out_of_domain_is_parameter_error():
 
 
 def test_noisy_closed_refuses_n_below_3():
-    # conv_fidelity refuses the same size; no convolutional circuit has n < 3
-    for closed in (lambda: noisy_conv_fidelity(2, 2, 0.9, 0.9), lambda: conv_fidelity(2, 2, RecycleTarget.single(1))):
-        with pytest.raises(InvalidTargetError, match="n >= 3"):
-            closed()
+    # the same size fault raises the same type as CircuitShape and transfer_fidelity
+    refusals = (
+        lambda: noisy_conv_fidelity(2, 2, 0.9, 0.9),
+        lambda: conv_fidelity(2, 2, RecycleTarget.single(1)),
+        lambda: transfer_fidelity(2, 2, RecycleTarget.single(1)),
+        lambda: CircuitShape(Family.CONVOLUTIONAL, 2, 1, 2),
+    )
+    for refuse in refusals:
+        with pytest.raises(InvalidShapeError, match="n >= 3"):
+            refuse()
 
 
 def test_noisy_divergence_guard():

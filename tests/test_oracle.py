@@ -33,14 +33,37 @@ def test_haar_unitarity():
     assert abs(abs(haar_unitary(1, rng)[0, 0]) - 1.0) < 1e-12
 
 
-def test_haar_first_moment():
-    # E|U_11|^2 = 1/d for Haar; 1e5 draws at d = 4
-    rng = np.random.default_rng(123)
-    draws = 100_000
-    z = rng.standard_normal((draws, 4, 4)) + 1j * rng.standard_normal((draws, 4, 4))
+def _reference_haar_batch(dim, count, rng):
+    """The batched QR draw the Gram-Schmidt one replaced: the same Ginibre
+    matrices, LAPACK QR, then each column's phase fixed by R's diagonal."""
+    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     qm, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
-    u = qm * (diag / np.abs(diag))[:, None, :]
+    return qm * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_haar_batch_matches_qr_reference(dim):
+    got = oracle._haar_batch(dim, 500, np.random.default_rng(41))
+    want = _reference_haar_batch(dim, 500, np.random.default_rng(41))
+    assert got.shape == (500, dim, dim)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(haar_unitary(dim, np.random.default_rng(42)), _reference_haar_batch(dim, 1, np.random.default_rng(42))[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+def test_haar_batch_unitarity(dim):
+    u = oracle._haar_batch(dim, 20_000, np.random.default_rng(43))
+    gram = np.einsum("bij,bkj->bik", u, u.conj())
+    # one Gram-Schmidt pass without the re-orthogonalisation leaves 5e-14 to
+    # 2e-13 on these draws; with it the worst entry stays near 7e-16
+    assert np.abs(gram - np.eye(dim)).max() < 1e-14
+
+
+def test_haar_first_moment():
+    # E|U_11|^2 = 1/d for Haar; 1e5 draws at d = 4
+    draws = 100_000
+    u = oracle._haar_batch(4, draws, np.random.default_rng(123))
     vals = np.abs(u[:, 0, 0]) ** 2
     mean, sigma = vals.mean(), vals.std(ddof=1) / np.sqrt(draws)
     assert abs(mean - 0.25) < 4 * sigma
@@ -381,6 +404,65 @@ def test_density_mc_matches_reference_loop(shape, channel_name):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
 
 
+# -- reference pure-state Monte Carlo --------------------------------------
+#
+# A per-sample loop over the full q^n state: every gate embedded by np.kron,
+# every qudit present from the start.
+
+
+def _reference_pure_batch(layout, targeted, rng, count):
+    n, q = layout.n, layout.q
+    gate_ids = sorted({s.gate_id for s in layout.slots})
+    gates = {gid: oracle._haar_batch(q * q, count, rng) for gid in gate_ids}
+    keep = np.ones((q,) * n)
+    for t in targeted:
+        sel = [slice(None)] * n
+        sel[t - 1] = slice(1, q)
+        keep[tuple(sel)] = 0.0
+    out = np.empty(count)
+    for b in range(count):
+        psi = np.zeros(q**n, dtype=complex)
+        psi[0] = 1.0
+        for slot in layout.slots:
+            g = gates[slot.gate_id][b]
+            if slot.dagger:
+                g = g.conj().T
+            a = slot.qudits[0]
+            psi = np.kron(np.eye(q ** (a - 1)), np.kron(g, np.eye(q ** (n - a - 1)))) @ psi
+        out[b] = np.sum(keep.reshape(-1) * np.abs(psi) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("shape", CROSS_SHAPES, ids=lambda x: "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
+def test_pure_mc_matches_reference_loop(shape):
+    family, n, m, q = shape
+    for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
+        layout = protocol_layout(CircuitShape(family, n, m, q), target)
+        targeted = target.qudits(n)
+        got = oracle._run_pure_batch(layout, targeted, np.random.default_rng(613), 6)
+        want = _reference_pure_batch(layout, targeted, np.random.default_rng(613), 6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
+
+
+def test_pure_mc_joins_qudits_in_index_order():
+    """Right-to-left sweeps join each qudit below the live ones; a qudit no
+    gate touches (3 in the last case) joins between its neighbours before
+    the projection."""
+
+    def sweeps(n):
+        return [(a, a + 1) for a in range(n - 1, 0, -1)] + [(a, a + 1) for a in range(1, n)]
+
+    for q, n, forward in [(2, 4, sweeps(4)), (3, 3, sweeps(3)), (2, 5, [(4, 5), (1, 2)])]:
+        shape = CircuitShape(Family.CONVOLUTIONAL, n, 1, q)
+        slots = tuple(GateSlot(pair, gid) for gid, pair in enumerate(forward))
+        for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
+            layout = apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target)
+            targeted = target.qudits(n)
+            got = oracle._run_pure_batch(layout, targeted, np.random.default_rng(617), 5)
+            want = _reference_pure_batch(layout, targeted, np.random.default_rng(617), 5)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"q={q} n={n} {target}")
+
+
 def test_density_mc_sub_batches_leave_values_unchanged(monkeypatch):
     target = RecycleTarget.pair(3, 1)
     layout = protocol_layout(CircuitShape(Family.HYBRID, 4, 2, 2), target)
@@ -398,6 +480,17 @@ def test_noisy_mc_bit_identical_across_thread_counts(monkeypatch):
     for threads in ("1", "2"):
         monkeypatch.setenv("REWINDLAB_THREADS", threads)
         res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=SeededRng(29))
+        results.append((res.value, res.stderr))
+    assert results[0] == results[1]
+
+
+def test_pure_mc_bit_identical_across_thread_counts(monkeypatch):
+    target = RecycleTarget.pair(4, 2)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 5, 1, 2), target)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REWINDLAB_THREADS", threads)
+        res = mc_average_fidelity(layout, target, samples=8192, rng=SeededRng(31))  # two chunks
         results.append((res.value, res.stderr))
     assert results[0] == results[1]
 
