@@ -23,6 +23,11 @@ class Family(str, Enum):
     LOCAL = "local"
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool: a float such as 4.0 is no qudit count or index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CircuitShape:
     """Geometry of one circuit instance.
@@ -38,6 +43,9 @@ class CircuitShape:
     q: int = 2
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("m", self.m), ("q", self.q)):
+            if not _is_int(value):
+                raise InvalidShapeError(f"shape has a field of the wrong type: {name} = {value!r} is not an integer")
         if self.q < 2:
             raise InvalidShapeError(f"qudit dimension q={self.q} must be >= 2")
         f = Family(self.family)
@@ -93,6 +101,8 @@ class RecycleTarget:
         return cls("pair", (i, j))
 
     def validate(self, n: int) -> None:
+        if not all(_is_int(i) for i in self.indices):
+            raise InvalidTargetError(f"target has a field of the wrong type: indices {list(self.indices)} are not integers")
         if self.kind == "single":
             (i,) = self.indices
             if not 1 <= i <= n - 1:

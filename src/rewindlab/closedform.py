@@ -40,7 +40,6 @@ from functools import lru_cache
 
 from rewindlab.circuits import RecycleTarget
 from rewindlab.errors import (
-    DivergentEigenvalueError,
     InvalidParameterError,
     InvalidShapeError,
     InvalidTargetError,
@@ -314,11 +313,12 @@ def noisy_conv_fidelity(
     if target.kind != "single":
         raise InvalidTargetError("closed noisy form covers single-qudit targets")
     target.validate(n)
-    if not 0 < alpha <= 1 or beta <= 0:
-        raise InvalidParameterError("need 0 < alpha <= 1 and beta > 0")
+    # the bounds of statmech.TrivalentRule; NaN fails them too.  Within them
+    # |lam2| <= q^2/(q^2+1) < 1, so the powers of lam2 decay.
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 <= value <= 1:
+            raise InvalidParameterError(f"{name} = {value} is outside [0, 1]")
     lam2 = noisy_lambda2(q, alpha, beta)
-    if abs(lam2) >= 1:
-        raise DivergentEigenvalueError(f"subleading eigenvalue {lam2} has modulus >= 1")
     d4 = q**4 - 1
     a0 = q * q * (q * q - alpha) / d4
     a1 = q * (alpha * q * q - 1) / d4

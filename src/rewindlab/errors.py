@@ -37,10 +37,6 @@ class UnsupportedRegimeError(RewindlabError):
     """Parameters fall outside the regimes covered by a closed form."""
 
 
-class DivergentEigenvalueError(RewindlabError):
-    """Transfer-matrix subleading eigenvalue has modulus >= 1."""
-
-
 class InvalidParameterError(RewindlabError):
     """Channel constructor parameter out of range."""
 

@@ -10,14 +10,12 @@ Two routes:
 * :func:`mc_average_fidelity` samples explicit Haar unitaries and runs the
   protocol, giving an estimate with a standard error.  A batch of Haar
   gates is a complex Ginibre draw orthonormalised for the whole batch at
-  once by classical Gram-Schmidt with one re-orthogonalisation.
-  Noiseless samples are batched state vectors over the live qudits: a
-  qudit joins in |0> at its first gate, and each slot is one batched
-  matmul by U on the (count, pre, q^2, post) view.  With a channel,
-  samples are batched density matrices folded into q^(2n) vectors with
-  each qudit's (ket, bra) pair adjacent, and a slot is one batched matmul
-  by S (U x U*) on the (pre, q^4, post) view, S the channel on the slot's
-  two qudits.
+  once by classical Gram-Schmidt with one re-orthogonalisation.  One
+  sampler serves both cases: a qudit holds D = q amplitudes of a state
+  vector, or with a channel D = q^2 of a folded density matrix.  It joins
+  the batched vector at its first gate, and each slot is one batched
+  matmul on the (count, pre, D^2, post) view, by U or by S (U x U*), S
+  the channel on the slot's two qudits.  One cap, D^n <= 2^20, bounds both.
 
 The twirl works on a four-copy vector with per-qudit copy blocks
 (c1, c2, c3, c4) = (rho-ket, rho-bra, proj-ket, proj-bra).  The rho block
@@ -51,6 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -69,12 +68,13 @@ if TYPE_CHECKING:
 # w = 2 at any n; hybrid m >= 2 reaches w = n, local w = n - 1 or n.
 DEFAULT_MAX_ELEMENTS = 1 << 26
 
-# Largest state dimension q^n of noisy (density-matrix) Monte Carlo.
-MAX_DENSITY_DIM = 1 << 10
+# Largest Monte-Carlo sample vector: D^n elements, D = q for a state
+# vector and q^2 for a folded density matrix (so q^n <= 2^10 with noise).
+MAX_MC_ELEMENTS = 1 << 20
 
-# Elements per sub-batch of noisy Monte-Carlo samples (folded density
-# vectors or per-sample slot matrices, whichever is larger).
-_DENSITY_BATCH_ELEMENTS = 1 << 20
+# Elements per sub-batch of Monte-Carlo samples (sample vectors or slot
+# matrices, whichever is larger).
+_MC_BATCH_ELEMENTS = 1 << 20
 
 
 def weingarten_pair(d: int) -> tuple[float, float]:
@@ -293,54 +293,6 @@ def exact_twirl_fidelity(
 # -- Monte Carlo ---------------------------------------------------------
 
 
-def _run_pure_batch(layout: GateLayout, targeted: frozenset[int], rng: np.random.Generator, count: int) -> np.ndarray:
-    """Fidelities of ``count`` independent Haar draws (noiseless protocol).
-
-    A qudit joins the batched state vector in |0> at its first gate, at its
-    sorted position among the live qudits, so each slot is one batched
-    matmul on the (count, pre, q^2, post) view of the live qudits only.
-    """
-    n, q = layout.n, layout.q
-    d = q * q
-    gate_ids = sorted({s.gate_id for s in layout.slots})
-    gates = {gid: _haar_batch(d, count, rng) for gid in gate_ids}
-
-    psi = np.ones((count, 1), dtype=complex)
-    live: list[int] = []
-
-    def join(psi: np.ndarray, a: int) -> np.ndarray:
-        pos = bisect_left(live, a)
-        live.insert(pos, a)
-        grown = np.zeros((count, q**pos, q, psi.size // (count * q**pos)), dtype=complex)
-        grown[:, :, 0] = psi.reshape(count, q**pos, -1)
-        return grown
-
-    for slot in layout.slots:
-        for a in slot.qudits:
-            if a not in live:
-                psi = join(psi, a)
-        g = gates[slot.gate_id]
-        if slot.dagger:
-            g = g.conj().transpose(0, 2, 1)
-        pre = q ** live.index(slot.qudits[0])  # acts on (a, a+1), adjacent among the live qudits
-        psi = np.matmul(g[:, None], psi.reshape(count, pre, d, -1))
-    for a in range(1, n + 1):
-        if a not in live:
-            psi = join(psi, a)
-    psi = psi.reshape(count, q**n)
-
-    norms = np.abs(np.einsum("bi,bi->b", psi.conj(), psi))
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ArithmeticError("statevector norm drifted beyond 1e-9")
-
-    shaped = psi.reshape((count,) + (q,) * n)
-    idx: list[object] = [slice(None)] * (n + 1)
-    for t in targeted:
-        idx[t] = 0
-    proj = shaped[tuple(idx)].reshape(count, -1)
-    return np.einsum("bi,bi->b", proj.conj(), proj).real
-
-
 def _folded_superop(mats: np.ndarray, q: int) -> np.ndarray:
     """rho -> E rho E^dag for each two-qudit E in ``mats`` (..., q^2, q^2), as
     a (..., q^4, q^4) matrix on folded (ket_a, bra_a, ket_b, bra_b) blocks."""
@@ -350,45 +302,74 @@ def _folded_superop(mats: np.ndarray, q: int) -> np.ndarray:
     return (ket * bra).reshape(lead + (q**4, q**4))
 
 
-def _run_density_batch(
+def _run_batch(
     layout: GateLayout,
     targeted: frozenset[int],
-    channel: "KrausChannel",
     rng: np.random.Generator,
     count: int,
+    channel: "KrausChannel | None" = None,
 ) -> np.ndarray:
-    """Noisy protocol: batched folded density vectors, one matmul per slot."""
+    """Fidelities of ``count`` independent Haar draws of the protocol.
+
+    Each qudit holds D amplitudes: D = q for a state vector, D = q^2 for a
+    density matrix folded with the qudit's (ket, bra) pair adjacent, whose
+    |0><0| is entry 0 as |0> is.  A qudit joins the batched vector in entry
+    0 at its first gate, at its sorted position among the live qudits, so
+    each slot is one batched matmul on the (count, pre, D^2, post) view: by
+    U, or with a channel by S (U x U*), S the channel on the slot's two
+    qudits.  Samples run in sub-batches of at most ``_MC_BATCH_ELEMENTS``
+    vector or slot-matrix elements each.
+    """
     n, q = layout.n, layout.q
-    d = q * q
-    gate_ids = sorted({s.gate_id for s in layout.slots})
-    gates = {gid: _haar_batch(d, count, rng) for gid in gate_ids}
-
-    ops = channel.operators
-    if channel.arity == 1:
-        ops = [np.kron(ea, eb) for ea in ops for eb in ops]
-    sup = _folded_superop(np.stack(ops), q).sum(axis=0)
-
-    # the ket = bra entries, with every targeted qudit in |0>
-    eye = np.eye(q)
-    mask = np.ones(())
-    for i in range(1, n + 1):
-        mask = np.multiply.outer(mask, np.outer(eye[0], eye[0]) if i in targeted else eye)
-    mask = mask.reshape(-1)
+    gates = {gid: _haar_batch(q * q, count, rng) for gid in sorted({s.gate_id for s in layout.slots})}
+    dim = q if channel is None else q * q
+    if channel is not None:
+        ops = channel.operators
+        if channel.arity == 1:
+            ops = [np.kron(ea, eb) for ea in ops for eb in ops]
+        sup = _folded_superop(np.stack(ops), q).sum(axis=0)
+        # the ket = bra entries, with every targeted qudit in |0><0|
+        mask = reduce(np.kron, [np.eye(q * q)[0] if i in targeted else np.eye(q).ravel() for i in range(1, n + 1)])
 
     out = np.empty(count)
-    step = max(1, _DENSITY_BATCH_ELEMENTS // max(d**n, d**4))
+    step = max(1, _MC_BATCH_ELEMENTS // max(dim**n, dim**4))
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        v = np.zeros((hi - lo, d**n), dtype=complex)
-        v[:, 0] = 1.0
+        size = min(step, count - lo)
+        v = np.ones((size, 1), dtype=complex)
+        live: list[int] = []
+
+        def join(v: np.ndarray, a: int) -> np.ndarray:
+            pos = bisect_left(live, a)
+            live.insert(pos, a)
+            grown = np.zeros((size, dim**pos, dim, v.size // (size * dim**pos)), dtype=complex)
+            grown[:, :, 0] = v.reshape(size, dim**pos, -1)
+            return grown
+
         for slot in layout.slots:
-            g = gates[slot.gate_id][lo:hi]
+            for a in slot.qudits:
+                if a not in live:
+                    v = join(v, a)
+            mat = gates[slot.gate_id][lo : lo + size]
             if slot.dagger:
-                g = g.conj().transpose(0, 2, 1)
-            pre = d ** (slot.qudits[0] - 1)
-            mat = np.matmul(sup, _folded_superop(g, q))
-            v = np.matmul(mat[:, None], v.reshape(hi - lo, pre, d * d, -1)).reshape(hi - lo, -1)
-        out[lo:hi] = (v @ mask).real
+                mat = mat.conj().transpose(0, 2, 1)
+            if channel is not None:
+                mat = np.matmul(sup, _folded_superop(mat, q))
+            pre = dim ** live.index(slot.qudits[0])  # acts on (a, a+1), adjacent among the live qudits
+            v = np.matmul(mat[:, None], v.reshape(size, pre, dim * dim, -1))
+        for a in range(1, n + 1):
+            if a not in live:
+                v = join(v, a)
+        v = v.reshape(size, dim**n)
+
+        if channel is not None:
+            out[lo : lo + size] = (v @ mask).real
+            continue
+        norms = np.abs(np.einsum("bi,bi->b", v.conj(), v))
+        if np.max(np.abs(norms - 1.0)) > 1e-9:
+            raise ArithmeticError("statevector norm drifted beyond 1e-9")
+        kept = (slice(None),) + tuple(0 if i in targeted else slice(None) for i in range(1, n + 1))
+        proj = v.reshape((size,) + (q,) * n)[kept].reshape(size, -1)
+        out[lo : lo + size] = np.einsum("bi,bi->b", proj.conj(), proj).real
     return out
 
 
@@ -401,9 +382,9 @@ def mc_average_fidelity(
 ) -> FidelityResult:
     """Monte-Carlo estimate of the averaged fidelity.
 
-    Noiseless runs use batched pure-state simulation; with a channel the
-    samples evolve as batched folded density vectors, one matmul per slot,
-    with the state dimension q^n capped at ``MAX_DENSITY_DIM``.
+    Noiseless samples are state vectors, noisy ones folded density
+    matrices (see :func:`_run_batch`); either is refused before any
+    allocation past ``MAX_MC_ELEMENTS`` elements, q^n or q^(2n).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -412,8 +393,9 @@ def mc_average_fidelity(
     targeted = target.qudits(layout.n)
     if channel is not None:
         check_channel_dim(channel, layout.q)
-        if layout.q ** layout.n > MAX_DENSITY_DIM:
-            raise TooLargeError("density-matrix simulation exceeds dimension cap")
+    elements = layout.q ** (layout.n if channel is None else 2 * layout.n)
+    if elements > MAX_MC_ELEMENTS:
+        raise TooLargeError(f"sample vector of {elements} elements exceeds cap {MAX_MC_ELEMENTS}")
 
     plan = []
     pos = 0
@@ -424,10 +406,7 @@ def mc_average_fidelity(
 
     def run_chunk(job):
         index, count = job
-        gen = rng.chunk_rng(index)
-        if channel is None:
-            return _run_pure_batch(layout, targeted, gen, count)
-        return _run_density_batch(layout, targeted, channel, gen, count)
+        return _run_batch(layout, targeted, rng.chunk_rng(index), count, channel)
 
     values = np.concatenate(map_chunks(run_chunk, plan))
     mean = float(np.mean(values))

@@ -85,6 +85,15 @@ def test_target_parsing_and_validation():
         RecycleTarget.single(0).validate(5)
 
 
+def test_non_integer_fields_are_refused():
+    for n, m, q in [(4.0, 1, 2), (4, 1.0, 2), (4, 1, 2.0), (True, 1, 2), (4, True, 2), (4, 1, "2")]:
+        with pytest.raises(InvalidShapeError, match="is not an integer"):
+            CircuitShape(Family.CONVOLUTIONAL, n, m, q)
+    for target in (RecycleTarget.single(2.5), RecycleTarget.single(2.0), RecycleTarget.pair(3, True), RecycleTarget.prefix("2")):
+        with pytest.raises(InvalidTargetError, match="are not integers"):
+            target.validate(5)
+
+
 def test_shape_json_round_trip():
     shape = CircuitShape(Family.HYBRID, 5, 2, 3)
     target = RecycleTarget.pair(3, 1)

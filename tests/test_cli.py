@@ -284,6 +284,34 @@ def test_spec_with_missing_or_mistyped_key_is_usage_error(runner, tmp_path, spec
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"family": "conv", "n": 4.0}, "n = 4.0 is not an integer"),
+        ({"family": "conv", "n": 4, "q": True}, "q = True is not an integer"),
+        ({"family": "conv", "n": 4, "target": {"kind": "single", "indices": [2.5]}}, "indices [2.5] are not integers"),
+    ],
+    ids=["n-as-float", "q-as-bool", "index-as-float"],
+)
+@pytest.mark.parametrize("method", ["closed", "sum", "twirl", "mc"])
+def test_spec_with_non_integer_field_is_usage_error(runner, tmp_path, spec, message, method):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["fidelity", "--spec", str(path), "--method", method, "--samples", "10"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "has a field of the wrong type" in result.output
+    assert message in result.output
+
+
+def test_mc_past_its_vector_cap_exits_2(runner):
+    # noiseless conv n=21: 2^21 state amplitudes per sample, over the 2^20 cap
+    result = runner.invoke(main, ["fidelity", "--n", "21", "--method", "mc", "--samples", "1"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: mc:")
+    assert "exceeds cap" in result.stderr
+
+
 @pytest.mark.parametrize("command", ["fidelity", "sweep"])
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_samples_below_one_is_usage_error(runner, tmp_path, command, samples):

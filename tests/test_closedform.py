@@ -25,14 +25,13 @@ from rewindlab.closedform import (
     noisy_sup_fidelity,
 )
 from rewindlab.errors import (
-    DivergentEigenvalueError,
     InvalidParameterError,
     InvalidShapeError,
     InvalidTargetError,
     TooLargeError,
     UnsupportedRegimeError,
 )
-from rewindlab.noise import amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
+from rewindlab.noise import KrausChannel, amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import lattice_from_circuit, partition_sum_exhaustive, transfer_fidelity
 
@@ -428,9 +427,12 @@ def test_undressed_closed_equals_printed_form():
 
 
 def test_noisy_closed_out_of_domain_is_parameter_error():
-    for alpha, beta in [(0.0, 0.9), (-0.1, 0.9), (1.2, 0.9), (0.9, 0.0), (0.9, -0.5)]:
+    # the [0, 1] bounds of TrivalentRule and transfer_fidelity; 0 is inside
+    for alpha, beta in [(-0.1, 0.9), (1.2, 0.9), (0.9, -0.5), (0.9, 1.05), (float("nan"), 0.9)]:
         with pytest.raises(InvalidParameterError):
             noisy_conv_fidelity(2, 5, alpha, beta)
+        with pytest.raises(InvalidParameterError):
+            transfer_fidelity(2, 5, RecycleTarget.single(1), alpha, beta)
 
 
 def test_noisy_closed_refuses_n_below_3():
@@ -447,8 +449,21 @@ def test_noisy_closed_refuses_n_below_3():
 
 
 def test_noisy_divergence_guard():
-    with pytest.raises(DivergentEigenvalueError):
-        noisy_conv_fidelity(2, 5, 1.0, 1.2)
+    # beta past 1 would give |lam2| >= 1; the parameter bounds refuse it first
+    for beta in (1.2, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            noisy_conv_fidelity(2, 5, 1.0, beta)
+
+
+def test_noisy_closed_answers_bit_flip_with_alpha_zero():
+    """The channel {X} has alpha = 0; closed agrees with the twirl there."""
+    channel = KrausChannel((np.array([[0, 1], [1, 0]]),))
+    assert channel_stats(channel).alpha == 0
+    for n in (3, 5, 8):
+        for i in range(1, n):
+            target = RecycleTarget.single(i)
+            twirl = exact_twirl_fidelity(protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n), target), target, channel)
+            assert _noisy_closed(channel, n, i) == pytest.approx(twirl.value, abs=1e-12)
 
 
 def test_correlation_limit_preserves_ratio_and_vanishes_cleanly():

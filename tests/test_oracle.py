@@ -137,6 +137,16 @@ def test_noisy_mc_dimension_cap():
         mc_average_fidelity(layout, target, channel=depolarizing(2, 0.04), samples=1)
 
 
+def test_pure_mc_dimension_cap(monkeypatch):
+    """q^n = 2^21 state amplitudes pass the one vector cap: refused before
+    anything is drawn or allocated."""
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 21, 1, 2), target)
+    monkeypatch.setattr(oracle, "_run_batch", None)  # a call would fail with TypeError
+    with pytest.raises(TooLargeError, match="exceeds cap"):
+        mc_average_fidelity(layout, target, samples=1)
+
+
 def test_twirl_determinism():
     target = RecycleTarget.single(2)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 4, 1, 2), target)
@@ -399,7 +409,7 @@ def test_density_mc_matches_reference_loop(shape, channel_name):
     for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
         layout = protocol_layout(CircuitShape(family, n, m, q), target)
         targeted = target.qudits(n)
-        got = oracle._run_density_batch(layout, targeted, channel, np.random.default_rng(611), 6)
+        got = oracle._run_batch(layout, targeted, np.random.default_rng(611), 6, channel)
         want = _reference_density_batch(layout, targeted, channel, np.random.default_rng(611), 6)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
 
@@ -439,7 +449,7 @@ def test_pure_mc_matches_reference_loop(shape):
     for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
         layout = protocol_layout(CircuitShape(family, n, m, q), target)
         targeted = target.qudits(n)
-        got = oracle._run_pure_batch(layout, targeted, np.random.default_rng(613), 6)
+        got = oracle._run_batch(layout, targeted, np.random.default_rng(613), 6)
         want = _reference_pure_batch(layout, targeted, np.random.default_rng(613), 6)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
 
@@ -458,19 +468,37 @@ def test_pure_mc_joins_qudits_in_index_order():
         for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
             layout = apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target)
             targeted = target.qudits(n)
-            got = oracle._run_pure_batch(layout, targeted, np.random.default_rng(617), 5)
+            got = oracle._run_batch(layout, targeted, np.random.default_rng(617), 5)
             want = _reference_pure_batch(layout, targeted, np.random.default_rng(617), 5)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"q={q} n={n} {target}")
 
 
 def test_density_mc_sub_batches_leave_values_unchanged(monkeypatch):
+    """Noisy and noiseless samples alike, in sub-batches of 3."""
     target = RecycleTarget.pair(3, 1)
     layout = protocol_layout(CircuitShape(Family.HYBRID, 4, 2, 2), target)
-    args = (layout, target.qudits(4), _channel("rand"))
-    whole = oracle._run_density_batch(*args, np.random.default_rng(17), 40)
-    monkeypatch.setattr(oracle, "_DENSITY_BATCH_ELEMENTS", 3 * 4**4)
-    split = oracle._run_density_batch(*args, np.random.default_rng(17), 40)
-    assert np.array_equal(whole, split)
+    args = (layout, target.qudits(4))
+    for channel, dim in ((_channel("rand"), 4), (None, 2)):
+        whole = oracle._run_batch(*args, np.random.default_rng(17), 40, channel)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_MC_BATCH_ELEMENTS", 3 * dim**4)
+            split = oracle._run_batch(*args, np.random.default_rng(17), 40, channel)
+        assert np.array_equal(whole, split)
+
+
+def test_mc_seeded_results_are_pinned():
+    """Seeded estimates, bit for bit, of the samplers this one replaced."""
+    target = RecycleTarget.pair(4, 2)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 5, 1, 2), target)
+    res = mc_average_fidelity(layout, target, samples=8192, rng=SeededRng(31))
+    assert (res.value, res.stderr) == (0.47244162473007284, 0.0018662279299514757)
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.HYBRID, 4, 2, 2), target)
+    res = mc_average_fidelity(layout, target, channel=amplitude_damping(2, 0.1), samples=3000, rng=SeededRng(5))
+    assert (res.value, res.stderr) == (0.5927684091472497, 0.0012790624720340267)
+    layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
+    res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=SeededRng(29))
+    assert (res.value, res.stderr) == (0.5906045458766196, 0.0022214912673218)
 
 
 def test_noisy_mc_bit_identical_across_thread_counts(monkeypatch):
