@@ -77,6 +77,10 @@ class CircuitShape:
         return shape, target
 
 
+# How many indices each target kind takes.
+_INDEX_COUNTS = {"single": 1, "prefix": 1, "pair": 2}
+
+
 @dataclass(frozen=True)
 class RecycleTarget:
     """Which idle qudits get projected back onto |0>.
@@ -101,6 +105,12 @@ class RecycleTarget:
         return cls("pair", (i, j))
 
     def validate(self, n: int) -> None:
+        count = _INDEX_COUNTS.get(self.kind)
+        if count is None:
+            raise InvalidTargetError(f"unknown target kind {self.kind!r}")
+        if len(self.indices) != count:
+            noun = "index" if count == 1 else "indices"
+            raise InvalidTargetError(f"{self.kind} target takes {count} {noun}, got indices {list(self.indices)}")
         if not all(_is_int(i) for i in self.indices):
             raise InvalidTargetError(f"target has a field of the wrong type: indices {list(self.indices)} are not integers")
         if self.kind == "single":
@@ -111,12 +121,10 @@ class RecycleTarget:
             (k,) = self.indices
             if not 1 <= k <= n - 1:
                 raise InvalidTargetError(f"prefix({k}) needs 1 <= k <= n-1 = {n - 1}")
-        elif self.kind == "pair":
+        else:
             i, j = self.indices
             if not 1 <= j < i <= n - 1:
                 raise InvalidTargetError(f"pair({i},{j}) needs 1 <= j < i <= n-1 = {n - 1}")
-        else:
-            raise InvalidTargetError(f"unknown target kind {self.kind!r}")
 
     def qudits(self, n: int) -> frozenset[int]:
         """The set of projected qudits."""
@@ -136,14 +144,23 @@ class RecycleTarget:
 
     @classmethod
     def parse(cls, text: str) -> "RecycleTarget":
-        """Parse CLI syntax: ``"3"``, ``"prefix:2"`` or ``"pair:3,2"``."""
-        text = text.strip()
-        if text.startswith("prefix:"):
-            return cls.prefix(int(text.split(":", 1)[1]))
-        if text.startswith("pair:"):
-            i, j = (int(x) for x in text.split(":", 1)[1].split(","))
-            return cls.pair(i, j)
-        return cls.single(int(text))
+        """Parse CLI syntax: ``"3"``, ``"prefix:2"`` or ``"pair:3,2"``.
+
+        Text of any other form, such as ``"pair:3"`` or ``"prefix:"``,
+        raises InvalidTargetError quoting it.
+        """
+        kind, body = "single", text.strip()
+        for name in ("prefix", "pair"):
+            if body.startswith(name + ":"):
+                kind, body = name, body[len(name) + 1 :]
+                break
+        try:
+            indices = tuple(int(x) for x in body.split(","))
+        except ValueError:
+            indices = ()
+        if len(indices) != _INDEX_COUNTS[kind]:
+            raise InvalidTargetError(f"malformed target {text!r}: expected i, prefix:k or pair:i,j with integer indices")
+        return cls(kind, indices)
 
     def __str__(self) -> str:
         if self.kind == "single":

@@ -99,13 +99,7 @@ def _load_channel(path: str | None, alpha: float | None, beta: float | None):
         if value is not None and not 0 <= value <= 1:
             raise click.UsageError(f"--{name} {value} is outside [0, 1]")
     if alpha is not None or beta is not None:
-        stats = ChannelStats(
-            alpha=alpha if alpha is not None else 1.0,
-            beta=beta if beta is not None else 1.0,
-            beta_u=1.0,
-            beta_d=1.0,
-        )
-        return None, stats
+        return None, ChannelStats(alpha if alpha is not None else 1.0, beta if beta is not None else 1.0)
     return None, None
 
 
@@ -363,9 +357,9 @@ def paths(start, end, s, t, method):
 @main.command("noise-stats")
 @click.option("--channel", "channel_path", type=click.Path(exists=True), required=True)
 def noise_stats(channel_path):
-    """Print alpha, beta, beta_u, beta_d and boundary overlaps of a channel."""
+    """Print alpha, beta and the recycled-boundary overlaps of a channel."""
     stats = _channel_stats(_read_channel(channel_path))
-    for name in ("alpha", "beta", "beta_u", "beta_d", "recycled_one", "recycled_s"):
+    for name in ("alpha", "beta", "recycled_one", "recycled_s"):
         click.echo(f"{name} = {getattr(stats, name):.12g}")
 
 

@@ -4,9 +4,6 @@ A channel of arity w acts on w qudits (dimension q^w).  The statistics:
 
 * ``alpha``: sum_k |Tr E_k|^2 / q^(2w), the entanglement fidelity;
 * ``beta``:  sum_{k,k'} |Tr E_k E_k'|^2 / q^(2w);
-* ``beta_u``/``beta_d``: four-fold contractions of the doubled channel
-  against the permutation fold states, one per gate leg (native for
-  arity 2; arity-1 channels are lifted to the product channel E x E);
 * ``recycled_one``/``recycled_s``: overlaps of the adjoint-channel-dressed
   projector with the two fold states, Tr Phi*(|0><0|) and
   <0|Phi*(|0><0|)|0>.  They dress the recycled-qudit boundary of the
@@ -88,8 +85,6 @@ def validate_channel(channel: KrausChannel, tol: float = COMPLETENESS_TOL) -> No
 class ChannelStats:
     alpha: float
     beta: float
-    beta_u: float
-    beta_d: float
     recycled_one: float = 1.0
     recycled_s: float = 1.0
 
@@ -98,31 +93,8 @@ class ChannelStats:
         return (self.recycled_one, self.recycled_s)
 
 
-def _fold_contraction(ops: list[np.ndarray], q: int, out_u: str, out_d: str) -> complex:
-    """sum_{k,k'} <out_u|_u <out_d|_d  E_k^dag x E_k^T x E_k' x E_k'^*  |s>_u |s>_d.
-
-    Each operator is reshaped to legs (u_out, d_out, u_in, d_in); the
-    pairing strings name which copies each boundary state glues:
-    identity-type pairs (1,2)(3,4), swap-type pairs (1,4)(2,3).  The
-    summand factorises over k and k', so the operators are stacked and
-    the whole double sum is one contraction over a shared Kraus index
-    (k for copies 1 and 2, l for copies 3 and 4).
-    """
-    t = np.stack(ops).reshape(-1, q, q, q, q)
-
-    def pair(kind: str, a: str, b: str):
-        # per-copy index letters of one leg group
-        return (a, a, b, b) if kind == "one" else (a, b, b, a)
-
-    uo, do, ui, di = pair(out_u, "a", "b"), pair(out_d, "c", "d"), pair("s", "e", "f"), pair("s", "g", "h")
-    subs = ",".join(f"{kraus}{uo[i]}{do[i]}{ui[i]}{di[i]}" for i, kraus in enumerate("kkll")) + "->"
-    # copies: E^dag and E^T as (out, in) tensors, then E and E^*
-    adj = t.conj().transpose(0, 3, 4, 1, 2)
-    return complex(np.einsum(subs, adj, t.transpose(0, 3, 4, 1, 2), t, t.conj(), optimize=True))
-
-
 def channel_stats(channel: KrausChannel) -> ChannelStats:
-    """Derive (alpha, beta, beta_u, beta_d) plus boundary overlaps."""
+    """Derive (alpha, beta) plus boundary overlaps."""
     validate_channel(channel)
     q = channel.qudit_dim()
     w = channel.arity
@@ -131,13 +103,6 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
 
     alpha = sum(abs(np.trace(e)) ** 2 for e in ops) / norm
     beta = sum(abs(np.trace(ek @ ekp)) ** 2 for ek in ops for ekp in ops) / norm
-
-    if w == 2:
-        two_site = ops
-    else:
-        two_site = [np.kron(ea, eb) for ea in ops for eb in ops]
-    bu = _fold_contraction(two_site, q, "one", "s") / q**3
-    bd = _fold_contraction(two_site, q, "s", "one") / q**3
 
     r_one, r_s = 1.0, 1.0
     if w == 1:
@@ -148,19 +113,12 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
             r_one = float(np.real(np.trace(dressed)))
             r_s = float(np.real(dressed[0, 0]))
 
-    def as_real(z, name):
-        if abs(np.imag(z)) > 1e-12:
-            raise ArithmeticError(f"{name} should be real, got {z}")
-        return float(np.real(z))
-
     # Cauchy-Schwarz bounds alpha and beta by 1 for a trace-preserving
     # channel; a unitary one can round past it (beta = 1 + 4e-16 for a
     # global phase at q = 3), which TrivalentRule would refuse.
     return ChannelStats(
         alpha=min(float(alpha), 1.0),
         beta=min(float(beta), 1.0),
-        beta_u=as_real(bu, "beta_u"),
-        beta_d=as_real(bd, "beta_d"),
         recycled_one=r_one,
         recycled_s=r_s,
     )

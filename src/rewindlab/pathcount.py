@@ -20,7 +20,6 @@ the band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import mpmath
@@ -166,10 +165,8 @@ def count_paths(start, end, band: BandConstraint, method: str = "reflection") ->
     return _BACKENDS[method](start, end, band)
 
 
-@lru_cache(maxsize=1 << 16)
-def _relaxed_cached(ax, ay, bx, by, s, t, method) -> int:
+def _relaxed(ax, ay, bx, by, s, t) -> int:
     band = BandConstraint(s, t)
-    a, b = LatticePoint(ax, ay), LatticePoint(bx, by)
     if (ax, ay) == (bx, by):
         return 1  # empty path has no interior vertices
     if bx < ax or by < ay:
@@ -181,18 +178,18 @@ def _relaxed_cached(ax, ay, bx, by, s, t, method) -> int:
         # from below it must be the right step; anything else would put the
         # second-to-last vertex even further outside.
         if by - bx > t:
-            return _relaxed_cached(ax, ay, bx, by - 1, s, t, method) if by - bx == t + 1 else 0
-        return _relaxed_cached(ax, ay, bx - 1, by, s, t, method) if by - bx == s - 1 else 0
+            return _relaxed(ax, ay, bx, by - 1, s, t) if by - bx == t + 1 else 0
+        return _relaxed(ax, ay, bx - 1, by, s, t) if by - bx == s - 1 else 0
     if not band.contains(ax, ay):
         if ay - ax > t:
-            return _relaxed_cached(ax + 1, ay, bx, by, s, t, method) if ay - ax == t + 1 else 0
-        return _relaxed_cached(ax, ay + 1, bx, by, s, t, method) if ay - ax == s - 1 else 0
-    if t == s and (ax, ay) != (bx, by):
-        return 0
-    return _BACKENDS[method](LatticePoint(ax, ay), LatticePoint(bx, by), band)
+            return _relaxed(ax + 1, ay, bx, by, s, t) if ay - ax == t + 1 else 0
+        return _relaxed(ax, ay + 1, bx, by, s, t) if ay - ax == s - 1 else 0
+    if t == s:
+        return 0  # any step leaves the single allowed diagonal
+    return count_paths_reflection(LatticePoint(ax, ay), LatticePoint(bx, by), band)
 
 
-def count_paths_relaxed(start, end, band: BandConstraint, method: str = "reflection") -> int:
+def count_paths_relaxed(start, end, band: BandConstraint) -> int:
     """Paths whose interior vertices stay in the band; endpoints are exempt.
 
     Equals the strict count when both endpoints lie inside the band.
@@ -200,12 +197,4 @@ def count_paths_relaxed(start, end, band: BandConstraint, method: str = "reflect
     is then forced back into the band); further out the count is zero.
     """
     a, b = _as_point(start), _as_point(end)
-    return _relaxed_cached(a.x, a.y, b.x, b.y, band.s, band.t, method)
-
-
-def binomial_paths(start, end) -> int:
-    """Unconstrained monotone path count C(dx+dy, dx)."""
-    a, b = _as_point(start), _as_point(end)
-    if b.x < a.x or b.y < a.y:
-        return 0
-    return _comb0(b.x + b.y - a.x - a.y, b.x - a.x)
+    return _relaxed(a.x, a.y, b.x, b.y, band.s, band.t)

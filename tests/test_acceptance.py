@@ -241,7 +241,7 @@ def test_criterion_6_correlations():
 def test_criterion_7_noise():
     start = time.time()
     stats_id = channel_stats(identity_channel(2))
-    assert (stats_id.alpha, stats_id.beta, stats_id.beta_u, stats_id.beta_d) == (1.0, 1.0, 1.0, 1.0)
+    assert (stats_id.alpha, stats_id.beta) == (1.0, 1.0)
     # transfer matrix vs twirl-with-channel; the recycled boundary carries
     # the adjoint dressing of the final rewinding gate's channel
     target = RecycleTarget.single(1)

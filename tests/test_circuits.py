@@ -85,6 +85,24 @@ def test_target_parsing_and_validation():
         RecycleTarget.single(0).validate(5)
 
 
+def test_target_with_wrong_index_count_is_refused():
+    for target, message in [
+        (RecycleTarget("single", (1, 2)), r"single target takes 1 index, got indices \[1, 2\]"),
+        (RecycleTarget("prefix", ()), r"prefix target takes 1 index, got indices \[\]"),
+        (RecycleTarget("prefix", (1, 2)), r"prefix target takes 1 index, got indices \[1, 2\]"),
+        (RecycleTarget("pair", (3,)), r"pair target takes 2 indices, got indices \[3\]"),
+        (RecycleTarget("pair", (3, 2, 1)), r"pair target takes 2 indices, got indices \[3, 2, 1\]"),
+    ]:
+        with pytest.raises(InvalidTargetError, match=message):
+            target.validate(5)
+
+
+@pytest.mark.parametrize("text", ["pair:3", "pair:3,2,1", "prefix:", "prefix:1,2", "pair:a,b", "", "x", "single:2"])
+def test_malformed_target_text_is_refused(text):
+    with pytest.raises(InvalidTargetError, match=f"malformed target {text!r}"):
+        RecycleTarget.parse(text)
+
+
 def test_non_integer_fields_are_refused():
     for n, m, q in [(4.0, 1, 2), (4, 1.0, 2), (4, 1, 2.0), (True, 1, 2), (4, True, 2), (4, 1, "2")]:
         with pytest.raises(InvalidShapeError, match="is not an integer"):

@@ -55,6 +55,61 @@ def test_noise_stats_depolarizing(runner, tmp_path):
     assert "beta = 0.9412" in result.output
 
 
+def _pair_channel():
+    u = haar_unitary(4, np.random.default_rng(3725))
+    return KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * u), arity=2)
+
+
+@pytest.mark.parametrize(
+    "channel,expected",
+    [
+        (lambda: depolarizing(2, 0.05), "alpha = 0.9625\nbeta = 0.926875\nrecycled_one = 1\nrecycled_s = 0.975\n"),
+        (_pair_channel, "alpha = 0.952008223963\nbeta = 0.906562264916\nrecycled_one = 1\nrecycled_s = 1\n"),
+    ],
+    ids=["dep2", "pair2"],
+)
+def test_noise_stats_prints_exactly_four_statistics(runner, tmp_path, channel, expected):
+    path = tmp_path / "channel.json"
+    path.write_text(channel().to_json())
+    result = runner.invoke(main, ["noise-stats", "--channel", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == expected
+
+
+@pytest.mark.parametrize("text", ["pair:3", "pair:3,2,1", "prefix:", "pair:a,b", "x"])
+@pytest.mark.parametrize("command", ["fidelity", "sweep", "compare"])
+def test_malformed_target_text_is_usage_error(runner, tmp_path, command, text):
+    out = tmp_path / "rows.csv"
+    args = {
+        "fidelity": ["fidelity", "--n", "5"],
+        "sweep": ["sweep", "--n", "4:6", "--output", str(out)],
+        "compare": ["compare", "--n", "5"],
+    }[command]
+    result = runner.invoke(main, args + ["--target", text])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"malformed target {text!r}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ({"kind": "single", "indices": [1, 2]}, "single target takes 1 index, got indices [1, 2]"),
+        ({"kind": "prefix", "indices": []}, "prefix target takes 1 index, got indices []"),
+        ({"kind": "pair", "indices": [3]}, "pair target takes 2 indices, got indices [3]"),
+    ],
+    ids=["single-two", "prefix-none", "pair-one"],
+)
+def test_spec_target_with_wrong_index_count_is_usage_error(runner, tmp_path, target, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "conv", "n": 5, "target": target}))
+    result = runner.invoke(main, ["fidelity", "--spec", str(path), "--method", "closed"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+
+
 def test_compare_ok_and_exit_code(runner):
     result = runner.invoke(main, ["compare", "--family", "conv", "--q", "2", "--n", "5", "--target", "1"])
     assert result.exit_code == 0
@@ -142,10 +197,10 @@ def test_channel_of_wrong_qudit_dimension_exits_2(runner, tmp_path):
 
 
 def test_arity2_channel_refused_by_analytic_routes(runner, tmp_path):
-    # these routes ignore beta_u/beta_d; they used to agree on a wrong value
-    u = haar_unitary(4, np.random.default_rng(3725))
+    # these routes read per-qudit statistics, which an arity-2 channel does
+    # not reduce to; they used to agree on a wrong value
     path = tmp_path / "pair.json"
-    path.write_text(KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * u), arity=2).to_json())
+    path.write_text(_pair_channel().to_json())
     for method in ("closed", "transfer", "sum"):
         result = runner.invoke(main, ["fidelity", "--q", "2", "--n", "4", "--channel", str(path), "--method", method])
         assert result.exit_code == 2, result.output
@@ -405,9 +460,8 @@ ROUTE_SHAPES = {
 def route_value(tmp_path_factory):
     """(exit code, output, value) of one fidelity run, cached across the parametrized cases."""
     folder = tmp_path_factory.mktemp("channels")
-    pair = KrausChannel((np.sqrt(0.95) * np.eye(4), np.sqrt(0.05) * haar_unitary(4, np.random.default_rng(3725))), arity=2)
     noise_args = {"none": [], "bare": ["--alpha", "0.9", "--beta", "0.9"]}
-    for name, channel in (("ad", amplitude_damping(2, 0.05)), ("pair", pair)):
+    for name, channel in (("ad", amplitude_damping(2, 0.05)), ("pair", _pair_channel())):
         path = folder / f"{name}.json"
         path.write_text(channel.to_json())
         noise_args[name] = ["--channel", str(path)]

@@ -351,6 +351,23 @@ def test_noisy_sum_dephasing_undressed_recycled_wire_matches_twirl():
     assert partition_sum_exhaustive(lattice, _rule(channel)).value == pytest.approx(tw, abs=1e-12)
 
 
+def test_no_node_sends_both_upward_legs_to_one_node():
+    # A node whose two upward legs end at one node would need the channel
+    # applied forward and adjoint on one qudit pair, a statistic no route
+    # reads; every lattice the circuit families build is free of them.
+    shapes = [(Family.CONVOLUTIONAL, n, 1) for n in range(3, 12)]
+    shapes += [(Family.HYBRID, n, m) for n in range(3, 10) for m in range(1, 8)]
+    shapes += [(Family.LOCAL, n, m) for n in range(4, 13, 2) for m in range(2, 21, 2)]
+    seen = 0
+    for family, n, m in shapes:
+        for i in range(1, n):
+            for node in make_lattice(family, n, m, 2, RecycleTarget.single(i)).nodes:
+                up, other = (leg.ref for leg in node.legs)
+                assert up is None or up != other, (family, n, m, i, node.index)
+                seen += 1
+    assert seen == 18784
+
+
 # -- frontier contraction against the 2^g enumeration --------------------------
 
 
