@@ -39,18 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from rewindlab.circuits import RecycleTarget
-from rewindlab.errors import (
-    InvalidParameterError,
-    InvalidShapeError,
-    InvalidTargetError,
-    TooLargeError,
-    UnsupportedRegimeError,
-)
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError, UnsupportedRegimeError
 from rewindlab.pathcount import BandConstraint, LatticePoint, count_paths_relaxed
 from rewindlab.result import FidelityResult
-
-HYBRID_M_CAP = 12
-HYBRID_N_CAP = 24
 
 
 def _lam(q: int) -> Fraction:
@@ -158,14 +149,10 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
     paths to the exit corner (m, m+n-2) whose interior stays in the band
     0 <= y-x <= n-3 except for touches of the line y = x+n-2, each worth
     (1+q^2)/q^2.  All n+m-3 entry points share one backward touch
-    recursion, O(m^2 + (n+m) m) segment counts in all.  Valid for n >= 4;
-    n = 3 collapses the band and is covered by its own closed form in
-    :func:`hybrid_fidelity`.
+    recursion, O(m^2 + (n+m) m) segment counts in all, so no size is
+    refused.  Valid for every n >= 3; at n = 3 the band is the line y = x
+    and the sum equals the printed tower :func:`hybrid_n3` exactly.
     """
-    if n < 4:
-        raise UnsupportedRegimeError("general hybrid sum needs n >= 4")
-    if m > HYBRID_M_CAP or n > HYBRID_N_CAP:
-        raise TooLargeError(f"hybrid sum capped at m <= {HYBRID_M_CAP}, n <= {HYBRID_N_CAP}")
     lam = _lam(q)
     w = Fraction(q, q * q + 1)
     off = n - 2
@@ -207,7 +194,10 @@ def hybrid_special(q: int, n: int, m: int) -> Fraction:
 
 
 def hybrid_n3(q: int, m: int) -> Fraction:
-    """Three-qudit tower: F = 1/q + (q-1)/q (1/(1+q^2))^m."""
+    """Three-qudit tower in its printed form, F = 1/q + (q-1)/q (1/(1+q^2))^m.
+
+    :func:`hybrid_general` at n = 3 equals it exactly.
+    """
     return Fraction(1, q) + Fraction(q - 1, q) * Fraction(1, 1 + q * q) ** m
 
 
@@ -215,8 +205,7 @@ def hybrid_fidelity(q: int, n: int, m: int) -> FidelityResult:
     """Recycling the first qudit of the m-sweep hybrid circuit."""
     if n < 3 or m < 1:
         raise InvalidShapeError("hybrid needs n >= 3, m >= 1")
-    value = hybrid_n3(q, m) if n == 3 else hybrid_general(q, n, m)
-    return FidelityResult(value=value, method="closed")
+    return FidelityResult(value=hybrid_general(q, n, m), method="closed")
 
 
 # -- local circuits ----------------------------------------------------------
@@ -255,12 +244,8 @@ def local_fidelity(q: int, n: int, m: int) -> FidelityResult:
     """Recycling the first qudit of the n-qudit, depth-m brickwork."""
     if n % 2 or m % 2 or n < 4 or m < 2:
         raise InvalidShapeError("local circuits need even n >= 4 and even m >= 2")
-    if m <= n - 2:
-        value = local_shallow(q, n, m)
-    elif m >= n:
-        value = local_deep(q, n, m)
-    else:
-        raise UnsupportedRegimeError(f"no closed form between m = n-2 and m = n (got n={n}, m={m})")
+    # even parity leaves no m strictly between n - 2 and n
+    value = local_shallow(q, n, m) if m <= n - 2 else local_deep(q, n, m)
     return FidelityResult(value=value, method="closed")
 
 

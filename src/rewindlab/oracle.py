@@ -64,9 +64,9 @@ if TYPE_CHECKING:
     from rewindlab.noise import KrausChannel
 
 # Memory cap for the folded vector: q^(4w) elements for the peak live
-# width w (w <= 6 at q=2, w <= 4 at q=3 by default).  Conv sweeps have
-# w = 2 at any n; hybrid m >= 2 reaches w = n, local w = n - 1 or n.
-DEFAULT_MAX_ELEMENTS = 1 << 26
+# width w (w <= 6 at q=2, w <= 4 at q=3).  Conv sweeps have w = 2 at any
+# n; hybrid m >= 2 reaches w = n, local w = n - 1 or n.
+MAX_TWIRL_ELEMENTS = 1 << 26
 
 # Largest Monte-Carlo sample vector: D^n elements, D = q for a state
 # vector and q^2 for a folded density matrix (so q^n <= 2^10 with noise).
@@ -75,6 +75,9 @@ MAX_MC_ELEMENTS = 1 << 20
 # Elements per sub-batch of Monte-Carlo samples (sample vectors or slot
 # matrices, whichever is larger).
 _MC_BATCH_ELEMENTS = 1 << 20
+
+# Monte-Carlo samples per seeded chunk (see :class:`SeededRng`).
+MC_CHUNK = 4096
 
 
 def weingarten_pair(d: int) -> tuple[float, float]:
@@ -114,13 +117,12 @@ def _haar_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 class SeededRng:
     """Master seed with deterministic per-chunk substreams.
 
-    Samples are processed in fixed-size chunks; chunk c draws from the
+    Samples are processed in chunks of ``MC_CHUNK``; chunk c draws from the
     generator seeded by SeedSequence(master, spawn_key=(c,)), so estimates
     are bit-identical for a given seed regardless of scheduling.
     """
 
     master: int
-    chunk: int = 4096
 
     def chunk_rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=(index,)))
@@ -159,11 +161,10 @@ def _pair_superops(channel: "KrausChannel | None", q: int):
         return eye, eye
     dim = channel.dim
     sup = np.zeros((dim, dim, dim, dim), dtype=complex)
-    adj = np.zeros((dim, dim, dim, dim), dtype=complex)
     for e in channel.operators:
         sup += np.einsum("ik,jl->ijkl", e, e.conj())
-        ed = e.conj().T
-        adj += np.einsum("ik,jl->ijkl", ed, ed.conj())
+    # the adjoint channel's tensor is the conjugate with in and out legs swapped
+    adj = np.ascontiguousarray(sup.transpose(2, 3, 0, 1).conj())
 
     def pair(t):
         t = t.real if np.abs(t.imag).max() < 1e-14 else t
@@ -221,12 +222,11 @@ def exact_twirl_fidelity(
     layout: GateLayout,
     target: RecycleTarget,
     channel: "KrausChannel | None" = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> FidelityResult:
     """Haar-averaged fidelity by exact moment contraction (no sampling).
 
     The folded vector holds only the live qudits, those between their first
-    and last gate; ``max_elements`` caps it at its widest, q^(4w).
+    and last gate; ``MAX_TWIRL_ELEMENTS`` caps it at its widest, q^(4w).
     """
     n, q = layout.n, layout.q
     slots = layout.forward_slots
@@ -241,9 +241,9 @@ def exact_twirl_fidelity(
         live_change[k] += 1
         live_change[last_gate[a] + 1] -= 1
     width = max(accumulate(live_change))
-    if q ** (4 * width) > max_elements:
+    if q ** (4 * width) > MAX_TWIRL_ELEMENTS:
         raise TooLargeError(
-            f"folded vector over {width} live qudits, q^(4w) = {q}^{4 * width}, exceeds cap {max_elements}"
+            f"folded vector over {width} live qudits, q^(4w) = {q}^{4 * width}, exceeds cap {MAX_TWIRL_ELEMENTS}"
         )
     targeted = target.qudits(n)
     if not targeted <= layout.idle:
@@ -400,7 +400,7 @@ def mc_average_fidelity(
     plan = []
     pos = 0
     while pos < samples:
-        count = min(rng.chunk, samples - pos)
+        count = min(MC_CHUNK, samples - pos)
         plan.append((len(plan), count))
         pos += count
 

@@ -173,6 +173,29 @@ def test_sweep_skips_infeasible_grid_points(runner, tmp_path):
     assert all(a > b for a, b in zip(values, values[1:]))  # deep decay toward 1/q
 
 
+def test_deep_local_sweep_writes_every_admitted_point(runner, tmp_path):
+    # every point with m > n + 22 evaluates a hybrid tower of more than 12 sweeps
+    out = tmp_path / "local.csv"
+    args = ["sweep", "--family", "local", "--q", "2,3", "--n", "3:24", "--m", "1:46", "--method", "closed", "--output", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    admitted = [(q, n, m) for q in (2, 3) for n in range(4, 25, 2) for m in range(2, 47, 2)]
+    assert [(int(r["q"]), int(r["n"]), int(r["m"])) for r in rows] == admitted
+    assert all(0 < float(r["value"]) <= 1 for r in rows)
+
+
+def test_fidelity_closed_and_sum_agree_exactly_on_large_hybrid(runner):
+    args = ["fidelity", "--family", "hybrid", "--q", "2", "--n", "30", "--m", "15", "--target", "1", "--method", "closed,sum"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    closed, total = result.output.strip().splitlines()
+    assert "closed: " in closed and "sum: " in total
+    exact = closed.split("(= ")[1]
+    assert "/" in exact and total.split("(= ")[1] == exact
+
+
 def test_fidelity_noisy_closed_with_channel_file(runner, tmp_path):
     path = tmp_path / "depol.json"
     path.write_text(depolarizing(2, 0.04).to_json())

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 from rewindlab.closedform import (
-    HYBRID_M_CAP,
-    HYBRID_N_CAP,
     _seg_count,
     conv_correlation,
     conv_fidelity,
@@ -24,13 +22,7 @@ from rewindlab.closedform import (
     noisy_lambda2,
     noisy_sup_fidelity,
 )
-from rewindlab.errors import (
-    InvalidParameterError,
-    InvalidShapeError,
-    InvalidTargetError,
-    TooLargeError,
-    UnsupportedRegimeError,
-)
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError
 from rewindlab.noise import KrausChannel, amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import lattice_from_circuit, partition_sum_exhaustive, transfer_fidelity
@@ -199,7 +191,7 @@ def test_touch_recursion_matches_enumeration_on_sweep_grids():
 
 
 def test_touch_recursion_matches_enumeration_at_caps():
-    n, m = HYBRID_N_CAP, HYBRID_M_CAP
+    n, m = 24, 12
     for q in (2, 3, 5):
         reference = _reference_hybrid_general(q, n, m)
         _assert_exact(hybrid_general(q, n, m), reference)
@@ -210,9 +202,9 @@ def test_touch_recursion_matches_enumeration_at_caps():
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     st.sampled_from((2, 3, 5)),
-    st.integers(4, HYBRID_N_CAP),
-    st.integers(1, HYBRID_M_CAP),
-    st.integers(1, HYBRID_N_CAP // 2 - 1),
+    st.integers(4, 24),
+    st.integers(1, 12),
+    st.integers(1, 11),
 )
 def test_touch_recursion_matches_enumeration_property(q, n, m, layers):
     _assert_exact(hybrid_general(q, n, m), _reference_hybrid_general(q, n, m))
@@ -224,13 +216,13 @@ def test_touch_recursion_matches_enumeration_property(q, n, m, layers):
 def test_hybrid_specials_match_general():
     for q in (2, 3, 5):
         for m, nmin in ((1, 4), (2, 5), (3, 6)):
-            for n in range(nmin, HYBRID_N_CAP + 1):
+            for n in range(nmin, 25):
                 assert hybrid_special(q, n, m) == hybrid_general(q, n, m), (q, n, m)
 
 
 def test_hybrid_m1_equals_convolutional():
     for q in (2, 3):
-        for n in range(4, HYBRID_N_CAP + 1):
+        for n in range(4, 25):
             assert hybrid_general(q, n, 1) == conv_fidelity(q, n, RecycleTarget.single(1)).value
 
 
@@ -252,15 +244,37 @@ def test_hybrid_n3_tower():
     assert abs(float(hybrid_n3(2, 60)) - 0.5) < 1e-40
 
 
+def test_hybrid_n3_general_sum_equals_printed_tower():
+    # at n = 3 the band of the general sum is the single line y = x
+    for q in (2, 3, 5):
+        for m in range(1, 41):
+            assert hybrid_general(q, 3, m) == hybrid_n3(q, m), (q, m)
+            assert hybrid_fidelity(q, 3, m).value == hybrid_n3(q, m), (q, m)
+
+
 def test_hybrid_caps_and_domain():
-    with pytest.raises(TooLargeError):
-        hybrid_general(2, 6, 13)
-    with pytest.raises(UnsupportedRegimeError):
-        hybrid_general(2, 3, 2)
+    # more than 12 sweeps and n = 3 are answered, not refused
+    assert hybrid_general(2, 6, 13) == lattice_value(Family.HYBRID, 6, 13, 2)
+    assert hybrid_general(2, 3, 2) == Fraction(13, 25)
     with pytest.raises(InvalidShapeError):
         hybrid_fidelity(2, 2, 1)
     with pytest.raises(InvalidShapeError):
         hybrid_fidelity(2, 4, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5),
+    st.one_of(
+        st.tuples(st.just(hybrid_fidelity), st.integers(3, 60), st.integers(1, 30)),
+        st.tuples(st.just(local_fidelity), st.integers(2, 20).map(lambda k: 2 * k), st.integers(1, 60).map(lambda k: 2 * k)),
+    ),
+)
+def test_closed_forms_answer_every_admitted_shape(q, shape):
+    # hybrid up to n=60 m=30 and local up to n=40 m=120: no admitted shape is refused
+    closed, n, m = shape
+    value = closed(q, n, m).value
+    assert type(value) is Fraction and 0 < value <= 1
 
 
 # -- local ---------------------------------------------------------------------

@@ -590,9 +590,16 @@ def test_frontier_equals_reference_property(shape, q, i, alpha, beta):
         (Family.HYBRID, 3, 24, 12, hybrid_fidelity),
         (Family.LOCAL, 2, 24, 24, local_fidelity),
         (Family.LOCAL, 2, 24, 46, local_fidelity),
+        # hybrid towers of more than 12 sweeps or more than 24 qudits
+        (Family.HYBRID, 2, 30, 15, hybrid_fidelity),
+        (Family.HYBRID, 3, 40, 20, hybrid_fidelity),
+        (Family.HYBRID, 2, 60, 30, hybrid_fidelity),
+        (Family.LOCAL, 2, 24, 48, local_fidelity),
+        (Family.LOCAL, 2, 24, 60, local_fidelity),
+        (Family.LOCAL, 3, 30, 80, local_fidelity),
     ],
 )
-def test_sum_equals_closed_form_at_caps(family, q, n, m, closed):
+def test_sum_equals_closed_form_on_large_lattices(family, q, n, m, closed):
     lattice = make_lattice(family, n, m, q, RecycleTarget.single(1))
     assert lattice.free_node_count > 24
     assert partition_sum_exhaustive(lattice).value == closed(q, n, m).value
