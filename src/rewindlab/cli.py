@@ -259,7 +259,12 @@ def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, 
 @click.option("--output", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, method, output, fmt):
-    """Write rows family,q,n,m,target,method,value,stderr,seed over a grid."""
+    """Write rows family,q,n,m,target,method,value,stderr,seed over a grid.
+
+    Grid points that break the family's shape rules or the target's index
+    range are skipped, and so is a method's row at a point outside its
+    regime; stderr gets one line counting both when either is non-zero.
+    """
 
     def parse_range(text: str) -> list[int]:
         if ":" in text:
@@ -279,6 +284,7 @@ def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, 
     channel, stats = _load_channel(channel_path, alpha, beta)
     _refuse(methods, fam, tgt, channel, stats)
     rows = []
+    skipped_points = skipped_rows = 0
     for q in q_list:
         for n in n_list:
             for m in m_list:
@@ -286,12 +292,14 @@ def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, 
                     shape = CircuitShape(fam, n, m, q)
                     tgt.validate(n)
                 except (InvalidShapeError, InvalidTargetError):
-                    continue  # infeasible grid point (shape rules, index range)
+                    skipped_points += 1  # infeasible grid point (shape rules, index range)
+                    continue
                 for name in methods:
                     try:
                         res = _evaluate(name, shape, tgt, channel, stats, samples, seed)
                     except UnsupportedRegimeError:
-                        continue  # this method does not cover the point; the others may
+                        skipped_rows += 1  # this method does not cover the point; the others may
+                        continue
                     except RewindlabError as exc:
                         click.echo(f"error at q={q} n={n} m={m}: {exc}", err=True)
                         sys.exit(COMPUTE_EXIT)
@@ -319,6 +327,12 @@ def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, 
         payload = json.dumps(rows, indent=0, sort_keys=True) + "\n"
     with open(output, "w", newline="") as fh:
         fh.write(payload)
+    if skipped_points or skipped_rows:
+        click.echo(
+            f"skipped {skipped_points} infeasible grid points (shape or target) "
+            f"and {skipped_rows} method rows (outside the method's regime)",
+            err=True,
+        )
     click.echo(f"wrote {len(rows)} rows to {output}")
 
 

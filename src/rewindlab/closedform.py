@@ -9,7 +9,12 @@ constraints (endpoints exempt), which makes the touch decomposition a
 partition of the wall ensemble; each touch carries a factor (1+q^2)/q^2.
 The sum over touch sets is not enumerated: one backward recursion from the
 exit point gives the weight of the walls leaving each touch position, and
-every entry point shares it (:func:`_touch_sums`).
+every entry point shares it (:func:`_touch_sums`).  The sums are kept as
+integer numerators over one shared scale, and every entry weight is a
+nonnegative power of q over a power of q^2+1, so the whole triple sum
+runs in integers over one common denominator and one Fraction is reduced
+per call (:func:`_weighted_sum`).  The values are the same rationals as
+summing Fractions term by term.
 
 Conventions pinned by cross-checking against the exhaustive lattice sums
 and the exact twirl:
@@ -40,7 +45,7 @@ from functools import lru_cache
 
 from rewindlab.circuits import RecycleTarget
 from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError, UnsupportedRegimeError
-from rewindlab.pathcount import BandConstraint, LatticePoint, count_paths_relaxed
+from rewindlab.pathcount import _relaxed
 from rewindlab.result import FidelityResult
 
 
@@ -94,7 +99,8 @@ def conv_correlation(q: int, n: int, i: int, j: int) -> FidelityResult:
 
 @lru_cache(maxsize=1 << 14)
 def _seg_count(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> int:
-    return count_paths_relaxed(LatticePoint(ax, ay), LatticePoint(bx, by), BandConstraint(s, t))
+    """Relaxed path count (:func:`rewindlab.pathcount.count_paths_relaxed`) on plain integers."""
+    return _relaxed(ax, ay, bx, by, s, t)
 
 
 def _touch_sums(
@@ -103,7 +109,7 @@ def _touch_sums(
     dest: tuple[int, int],
     off: int,
     band: tuple[int, int],
-) -> list[Fraction]:
+) -> tuple[list[int], int]:
     """Touch-decomposed wall counts from each of ``starts`` to ``dest``.
 
     A wall may touch the line y = x + off at x-positions i_1 < ... < i_l
@@ -116,8 +122,10 @@ def _touch_sums(
         h[b] = gamma * (seg(b+1, b+off -> dest) + sum_{c>b} seg(b+1, b+off -> c, c+off) h[c])
         sum(start) = seg(start -> dest) + sum_{b >= start x} seg(start -> b, b+off) h[b]
 
-    h[b] is kept as the integer scale * h[b], so only the final sums are
-    fractions.
+    Returns the integer numerators of the sums and the one ``scale`` they
+    share: sum(start) = numerator / scale, with scale = q^(2 (dest x - lowest
+    start x)).  h[b] is kept as the integer scale * h[b], so no fraction is
+    built here.
     """
     s, t = band
     dx, dy = dest
@@ -130,14 +138,25 @@ def _touch_sums(
         for c in range(b + 1, dx):
             acc += _seg_count(b + 1, b + off, c, c + off, s, t) * h[c]
         h[b] = (qq + 1) * acc // qq  # exact, as scale * h[b] is an integer
-    return [
-        Fraction(
-            _seg_count(sx, sy, dx, dy, s, t) * scale
-            + sum(_seg_count(sx, sy, b, b + off, s, t) * h[b] for b in range(sx, dx)),
-            scale,
-        )
+    numerators = [
+        _seg_count(sx, sy, dx, dy, s, t) * scale
+        + sum(_seg_count(sx, sy, b, b + off, s, t) * h[b] for b in range(sx, dx))
         for sx, sy in starts
     ]
+    return numerators, scale
+
+
+def _weighted_sum(q: int, terms: list[tuple[int, int, int]], scale: int) -> Fraction:
+    """sum of q^a / (q^2+1)^E * numerator / scale over ``terms`` (a, E, numerator).
+
+    Every a is >= 0, so each term is brought over the one denominator
+    (q^2+1)^top * scale, top = max E; the sum runs in integers and a
+    single Fraction is reduced at the end.
+    """
+    top = max(e for _, e, _ in terms)
+    qq1 = q * q + 1
+    total = sum(q**a * qq1 ** (top - e) * numerator for a, e, numerator in terms)
+    return Fraction(total, qq1**top * scale)
 
 
 def hybrid_general(q: int, n: int, m: int) -> Fraction:
@@ -152,20 +171,25 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
     recursion, O(m^2 + (n+m) m) segment counts in all, so no size is
     refused.  Valid for every n >= 3; at n = 3 the band is the line y = x
     and the sum equals the printed tower :func:`hybrid_n3` exactly.
-    """
-    lam = _lam(q)
-    w = Fraction(q, q * q + 1)
-    off = n - 2
-    band = (0, n - 3)
 
+    With w = q/(q^2+1) and lam = q^2/(q^2+1), an entry on the sweep axis
+    weighs w^E q^(n-3) with E = n+2m-2-2e, one on the first-gate axis
+    lam^E / q^(2m) with E = n+2m-4-k, and the all-ONE configuration
+    lam^(n-2) / q; each is q^a / (q^2+1)^E, summed by :func:`_weighted_sum`.
+    """
+    off = n - 2
     # walls entering on the sweep axis at sweep e, then on the first-gate
     # axis at height k + 1
     starts = [(e, e - 1) for e in range(1, m)] + [(1, k + 1) for k in range(0, n - 2)]
-    weights = [w ** (n + 2 * m - 2 - 2 * e) * Fraction(q) ** (n - 3) for e in range(1, m)]
-    weights += [Fraction(1, q ** (2 * m)) * lam ** (n + 2 * m - 4 - k) for k in range(0, n - 2)]
-    counts = _touch_sums(q, starts, (m, m + off), off, band)
-    total = Fraction(1, q) * lam ** (n - 2)  # all-ONE configuration
-    return total + sum(weight * count for weight, count in zip(weights, counts))
+    numerators, scale = _touch_sums(q, starts, (m, m + off), off, (0, n - 3))
+    terms = [(2 * n - 5, n - 2, scale)]  # all-ONE configuration
+    for e, numerator in zip(range(1, m), numerators):
+        power = n + 2 * m - 2 - 2 * e
+        terms.append((power + n - 3, power, numerator))
+    for k, numerator in zip(range(0, n - 2), numerators[m - 1 :]):
+        power = n + 2 * m - 4 - k
+        terms.append((2 * power - 2 * m, power, numerator))
+    return _weighted_sum(q, terms, scale)
 
 
 def hybrid_special(q: int, n: int, m: int) -> Fraction:
@@ -218,14 +242,14 @@ def local_shallow(q: int, n: int, m: int) -> Fraction:
     at distance 2k+3 below the last qudit (k = 0..(m-4)/2, weight
     (q/(1+q^2))^(m-2) q^(m-4-2k)) or ascends straight (weight lambda^(m-2)),
     and exits through the fixed point (1, n-4) after m-2 free layers.  The
-    entry points share one backward touch recursion, O(m^2) segment counts.
+    entry points share one backward touch recursion, O(m^2) segment counts,
+    and the weights are summed over one denominator by :func:`_weighted_sum`.
     """
-    lam = _lam(q)
-    w = Fraction(q, q * q + 1)
     ks = range(0, (m - 4) // 2 + 1)
-    counts = _touch_sums(q, [(-k, n - m - 1 + k) for k in ks], (1, n - 4), n - 4, (-1, n - 5))
-    total = lam ** (m - 2)
-    return total + sum(w ** (m - 2) * Fraction(q) ** (m - 4 - 2 * k) * count for k, count in zip(ks, counts))
+    numerators, scale = _touch_sums(q, [(-k, n - m - 1 + k) for k in ks], (1, n - 4), n - 4, (-1, n - 5))
+    terms = [(2 * m - 4, m - 2, scale)]  # straight ascent, lambda^(m-2)
+    terms += [(2 * m - 6 - 2 * k, m - 2, numerator) for k, numerator in zip(ks, numerators)]
+    return _weighted_sum(q, terms, scale)
 
 
 def local_deep(q: int, n: int, m: int) -> Fraction:

@@ -5,7 +5,7 @@ weakly between the lines y = x + s and y = x + t (boundary contact
 allowed).  Three interchangeable backends:
 
 * :func:`count_paths_reflection` -- alternating sum of binomials over
-  reflected endpoints, truncated to the finitely many nonzero terms;
+  reflected endpoints, restricted to the finitely many nonzero terms;
 * :func:`count_paths_trig` -- the equivalent finite trigonometric sum,
   evaluated in extended precision and rounded to an integer;
 * :func:`count_paths_dp` -- direct dynamic programming, the independent
@@ -14,7 +14,9 @@ allowed).  Three interchangeable backends:
 :func:`count_paths_relaxed` additionally exempts the two endpoints from the
 band constraint (interior vertices only), which is how the circuit-fidelity
 formulas reference counts whose start or destination sits one step outside
-the band.
+the band.  The reflection formula is written once, in the integer kernel
+:func:`_reflection`; the checked public counts and the relaxed recursion
+:func:`_relaxed`, which works on plain integers, both call it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import mpmath
-
 from rewindlab.errors import IntegralityError, PreconditionError
-
-
-def _comb0(n: int, k: int) -> int:
-    """Binomial coefficient that vanishes outside 0 <= k <= n."""
-    return comb(n, k) if 0 <= k <= n else 0
 
 TRIG_DPS = 40
 TRIG_TOLERANCE = 1e-6
@@ -95,24 +90,38 @@ def count_paths_dp(start, end, band: BandConstraint) -> int:
     return col[height - 1]
 
 
-def count_paths_reflection(start, end, band: BandConstraint) -> int:
-    """Reflection-principle count: sum over k of binomial differences.
+def _reflection(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> int:
+    """Reflection-principle count from (ax, ay) to (bx, by) in s <= y - x <= t.
 
-    The summand vanishes once |k(t-s+2)| exceeds the path length, which
-    bounds the k range.
+    Both endpoints lie in the band and bx >= ax, by >= ay.  The count is
+    the sum over k of C(L, dx - k p) - C(L, c - k p) with L the path
+    length, dx = bx - ax, p = t - s + 2 and c = bx - ay + t + 1; each sum
+    runs over exactly the k whose binomial index lies in 0..L.
+    """
+    length = bx + by - ax - ay
+    period = t - s + 2
+    dx = bx - ax
+    c = bx - ay + t + 1
+    total = 0
+    for k in range(-((length - dx) // period), dx // period + 1):
+        total += comb(length, dx - k * period)
+    for k in range(-((length - c) // period), c // period + 1):
+        total -= comb(length, c - k * period)
+    return total
+
+
+def count_paths_reflection(start, end, band: BandConstraint) -> int:
+    """Reflection-principle count with checked endpoints.
+
+    Raises PreconditionError for an endpoint outside the band and returns 0
+    for unreachable endpoints; the count itself is the one integer kernel
+    :func:`_reflection`, which the relaxed counts share.
     """
     a, b = _as_point(start), _as_point(end)
     _check_endpoints(a, b, band)
     if b.x < a.x or b.y < a.y:
         return 0
-    s, t = band.s, band.t
-    length = b.x + b.y - a.x - a.y
-    period = t - s + 2
-    kmax = length // period + 1
-    total = 0
-    for k in range(-kmax, kmax + 1):
-        total += _comb0(length, b.x - a.x - k * period) - _comb0(length, b.x - a.y - k * period + t + 1)
-    return total
+    return _reflection(a.x, a.y, b.x, b.y, band.s, band.t)
 
 
 def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> int:
@@ -137,6 +146,8 @@ def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> i
         return 0  # any step leaves the single allowed diagonal
     period = t - s + 2
     length = b.x + b.y - a.x - a.y
+    import mpmath  # imported here so that importing rewindlab does not load it
+
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for k in range(1, (t - s + 1) // 2 + 1):
@@ -165,28 +176,30 @@ def count_paths(start, end, band: BandConstraint, method: str = "reflection") ->
     return _BACKENDS[method](start, end, band)
 
 
-def _relaxed(ax, ay, bx, by, s, t) -> int:
-    band = BandConstraint(s, t)
-    if (ax, ay) == (bx, by):
-        return 1  # empty path has no interior vertices
+def _relaxed(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> int:
+    """Relaxed count on plain integers: interior vertices in s <= y - x <= t.
+
+    Endpoints one diagonal outside the band are stepped back in; once both
+    lie inside, the count is the integer kernel :func:`_reflection`.
+    """
     if bx < ax or by < ay:
         return 0
-    if bx + by - ax - ay == 1:
-        return 1  # single step, interior empty
-    if not band.contains(bx, by):
+    if bx + by - ax - ay <= 1:
+        return 1  # the empty path or a single step has no interior vertex
+    d = by - bx
+    if d > t:
         # Last step is forced: from above the band it must be the up step,
         # from below it must be the right step; anything else would put the
         # second-to-last vertex even further outside.
-        if by - bx > t:
-            return _relaxed(ax, ay, bx, by - 1, s, t) if by - bx == t + 1 else 0
-        return _relaxed(ax, ay, bx - 1, by, s, t) if by - bx == s - 1 else 0
-    if not band.contains(ax, ay):
-        if ay - ax > t:
-            return _relaxed(ax + 1, ay, bx, by, s, t) if ay - ax == t + 1 else 0
-        return _relaxed(ax, ay + 1, bx, by, s, t) if ay - ax == s - 1 else 0
-    if t == s:
-        return 0  # any step leaves the single allowed diagonal
-    return count_paths_reflection(LatticePoint(ax, ay), LatticePoint(bx, by), band)
+        return _relaxed(ax, ay, bx, by - 1, s, t) if d == t + 1 else 0
+    if d < s:
+        return _relaxed(ax, ay, bx - 1, by, s, t) if d == s - 1 else 0
+    d = ay - ax
+    if d > t:
+        return _relaxed(ax + 1, ay, bx, by, s, t) if d == t + 1 else 0
+    if d < s:
+        return _relaxed(ax, ay + 1, bx, by, s, t) if d == s - 1 else 0
+    return _reflection(ax, ay, bx, by, s, t)
 
 
 def count_paths_relaxed(start, end, band: BandConstraint) -> int:

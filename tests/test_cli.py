@@ -173,6 +173,40 @@ def test_sweep_skips_infeasible_grid_points(runner, tmp_path):
     assert all(a > b for a, b in zip(values, values[1:]))  # deep decay toward 1/q
 
 
+SKIP_LINE = "skipped {} infeasible grid points (shape or target) and {} method rows (outside the method's regime)\n"
+
+
+def test_sweep_counts_skipped_points_on_stderr(runner, tmp_path):
+    out = tmp_path / "deep.csv"
+    args = ["sweep", "--family", "local", "--n", "4", "--m", "4:12", "--target", "1", "--method", "closed", "--output", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # m = 5, 7, 9, 11 break the local parity rule; stdout keeps its one line
+    assert result.stdout == f"wrote 5 rows to {out}\n"
+    assert result.stderr == SKIP_LINE.format(4, 0)
+
+
+def test_sweep_counts_skipped_method_rows_on_stderr(runner, tmp_path):
+    path = tmp_path / "ad.json"
+    path.write_text(amplitude_damping(2, 0.05).to_json())
+    out = tmp_path / "rows.csv"
+    args = ["sweep", "--family", "local", "--n", "4", "--m", "2:6", "--target", "3", "--channel", str(path)]
+    result = runner.invoke(main, args + ["--method", "sum,twirl", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    # m = 3, 5 are infeasible; the sum refuses the undressed recycled wire at m = 2, 4, 6
+    assert result.stdout == f"wrote 3 rows to {out}\n"
+    assert result.stderr == SKIP_LINE.format(2, 3)
+
+
+def test_sweep_without_skips_prints_nothing_on_stderr(runner, tmp_path):
+    out = tmp_path / "hybrid.csv"
+    args = ["sweep", "--family", "hybrid", "--n", "4:8", "--m", "2", "--method", "closed", "--output", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wrote 5 rows to {out}\n"
+    assert result.stderr == ""
+
+
 def test_deep_local_sweep_writes_every_admitted_point(runner, tmp_path):
     # every point with m > n + 22 evaluates a hybrid tower of more than 12 sweeps
     out = tmp_path / "local.csv"

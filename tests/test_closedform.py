@@ -213,6 +213,15 @@ def test_touch_recursion_matches_enumeration_property(q, n, m, layers):
         _assert_exact(local_fidelity(q, n_local, m_local).value, _reference_local(q, n_local, m_local))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 7), st.integers(3, 30), st.integers(1, 12))
+def test_integer_evaluation_equals_fraction_reference(q, n, m):
+    # the common-denominator integer sum against term-by-term Fractions over every touch set
+    reference = _reference_hybrid_general(q, n, m)
+    _assert_exact(hybrid_general(q, n, m), reference)
+    _assert_exact(hybrid_fidelity(q, n, m).value, reference)
+
+
 def test_hybrid_specials_match_general():
     for q in (2, 3, 5):
         for m, nmin in ((1, 4), (2, 5), (3, 6)):
@@ -291,7 +300,9 @@ def test_local_shallow_is_one():
 def test_local_deep_matches_lattice():
     for q in (2, 3):
         for n, m in [(4, 4), (4, 6), (4, 8), (6, 6), (6, 8)]:
-            assert local_deep(q, n, m) == lattice_value(Family.LOCAL, n, m, q), (q, n, m)
+            lattice = lattice_value(Family.LOCAL, n, m, q)
+            assert local_deep(q, n, m) == lattice, (q, n, m)
+            _assert_exact(local_fidelity(q, n, m).value, lattice)
 
 
 def test_local_deep_approaches_one_over_q():

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rewindlab
+from rewindlab.closedform import _seg_count
 from rewindlab.errors import IntegralityError, PreconditionError
 from rewindlab.pathcount import (
     BandConstraint,
@@ -99,6 +104,33 @@ def test_relaxed_matches_bruteforce(ax, ay, dx, dy, s, width):
     assert got == _brute_relaxed((ax, ay), (ax + dx, ay + dy), band)
 
 
+def _relaxed_grid():
+    """Relaxed-count shapes around every band edge, enumerated exhaustively.
+
+    Bands of width 0 (t == s) to 3, endpoints on every diagonal from two
+    below the band to two above it, start x on both sides of zero and
+    x-displacements -1..4; y-displacements follow from the diagonals and
+    so run negative too.  Empty and one-step paths are among them.
+    """
+    for s, t in [(0, 0), (-1, -1), (-1, 0), (0, 2), (-2, 1), (-4, -2), (1, 3)]:
+        for start_diag in range(s - 2, t + 3):
+            for end_diag in range(s - 2, t + 3):
+                for ax in (-2, 1):
+                    for dx in range(-1, 5):
+                        bx = ax + dx
+                        yield (ax, ax + start_diag), (bx, bx + end_diag), (s, t)
+
+
+def test_relaxed_matches_bruteforce_on_exhaustive_grid():
+    shapes = list(_relaxed_grid())
+    lengths = [bx + by - ax - ay for (ax, ay), (bx, by), _ in shapes]
+    assert {0, 1} <= set(lengths) and min(lengths) < 0  # empty, one-step and negative displacements
+    for a, b, (s, t) in shapes:
+        expected = _brute_relaxed(a, b, BandConstraint(s, t))
+        assert count_paths_relaxed(a, b, BandConstraint(s, t)) == expected, (a, b, s, t)
+        assert _seg_count(*a, *b, s, t) == expected, (a, b, s, t)
+
+
 def test_trig_integrality_guard():
     # sabotaged precision must trip the integrality check, not round silently
     with pytest.raises(IntegralityError):
@@ -115,3 +147,11 @@ def test_point_type():
     p = LatticePoint(2, 3)
     assert (p.x, p.y) == (2, 3)
     assert count_paths_dp(p, LatticePoint(3, 4), BandConstraint(-2, 2)) == 2
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    # only the trig backend needs mpmath; it imports it on first use
+    code = "import sys, rewindlab.cli, rewindlab.closedform, rewindlab.pathcount; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rewindlab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
