@@ -90,8 +90,6 @@ def _load_channel(path: str | None, alpha: float | None, beta: float | None):
     Bare statistics outside [0, 1] are a usage error: both are overlaps
     that no trace-preserving channel takes past 1 (Cauchy-Schwarz).
     """
-    from rewindlab.noise import ChannelStats
-
     if path is not None:
         channel = _read_channel(path)
         return channel, _channel_stats(channel)
@@ -99,6 +97,8 @@ def _load_channel(path: str | None, alpha: float | None, beta: float | None):
         if value is not None and not 0 <= value <= 1:
             raise click.UsageError(f"--{name} {value} is outside [0, 1]")
     if alpha is not None or beta is not None:
+        from rewindlab.noise import ChannelStats
+
         return None, ChannelStats(alpha if alpha is not None else 1.0, beta if beta is not None else 1.0)
     return None, None
 
@@ -141,14 +141,20 @@ def _refuse(methods: list[str], family: Family, target: RecycleTarget, channel, 
 def _evaluate(
     method: str, shape: CircuitShape, target: RecycleTarget, channel, stats, samples: int, seed: int
 ) -> FidelityResult:
-    """One route at one point; :func:`_refusal` has already admitted the method."""
-    from rewindlab import closedform, oracle, statmech
+    """One route at one point; :func:`_refusal` has already admitted the method.
 
+    Each route's module is imported where it is called, so the closed forms
+    run without loading numpy.
+    """
     q, n = shape.q, shape.n
     if channel is not None:
-        oracle.check_channel_dim(channel, q)
+        from rewindlab.oracle import check_channel_dim
+
+        check_channel_dim(channel, q)
     a, b, rb = (1, 1, (1, 1)) if stats is None else (stats.alpha, stats.beta, stats.recycled_boundary)
     if method == "closed":
+        from rewindlab import closedform
+
         if stats is not None:
             return closedform.noisy_conv_fidelity(q, n, a, b, target, rb)
         if shape.family is Family.CONVOLUTIONAL:
@@ -156,14 +162,18 @@ def _evaluate(
         if shape.family is Family.HYBRID:
             return closedform.hybrid_fidelity(q, n, shape.m)
         return closedform.local_fidelity(q, n, shape.m)
+    if method in ("twirl", "mc"):
+        from rewindlab import oracle
+
+        layout = protocol_layout(shape, target)
+        if method == "twirl":
+            return oracle.exact_twirl_fidelity(layout, target, channel=channel)
+        return oracle.mc_average_fidelity(layout, target, channel=channel, samples=samples, rng=seed)
+    from rewindlab import statmech
+
     if method == "transfer":
         return statmech.transfer_fidelity(q, n, target, a, b, rb)
-    layout = protocol_layout(shape, target)
-    if method == "twirl":
-        return oracle.exact_twirl_fidelity(layout, target, channel=channel)
-    if method == "mc":
-        return oracle.mc_average_fidelity(layout, target, channel=channel, samples=samples, rng=seed)
-    lattice = statmech.lattice_from_circuit(layout, target)
+    lattice = statmech.lattice_from_circuit(protocol_layout(shape, target), target)
     if method == "wall":
         return statmech.single_wall_fidelity(lattice)
     return statmech.partition_sum_exhaustive(lattice, statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb))

@@ -13,9 +13,13 @@ Two routes:
   once by classical Gram-Schmidt with one re-orthogonalisation.  One
   sampler serves both cases: a qudit holds D = q amplitudes of a state
   vector, or with a channel D = q^2 of a folded density matrix.  It joins
-  the batched vector at its first gate, and each slot is one batched
-  matmul on the (count, pre, D^2, post) view, by U or by S (U x U*), S
-  the channel on the slot's two qudits.  One cap, D^n <= 2^20, bounds both.
+  the batched tensor as a new last axis at its first gate, and the sampler
+  tracks which qudit sits on each axis.  Each slot is one batched matmul by
+  U or by S (U x U*), S the channel on the slot's two qudits: on the
+  (count, pre, D^2, post) view, copying nothing, when its qudits are
+  adjacent at the front or back of that axis order, else after one copy
+  that moves them to the front, as one gemm per sample.  One cap,
+  D^n <= 2^20, bounds both.
 
 The twirl works on a four-copy vector with per-qudit copy blocks
 (c1, c2, c3, c4) = (rho-ket, rho-bra, proj-ket, proj-bra).  The rho block
@@ -313,12 +317,16 @@ def _run_batch(
 
     Each qudit holds D amplitudes: D = q for a state vector, D = q^2 for a
     density matrix folded with the qudit's (ket, bra) pair adjacent, whose
-    |0><0| is entry 0 as |0> is.  A qudit joins the batched vector in entry
-    0 at its first gate, at its sorted position among the live qudits, so
-    each slot is one batched matmul on the (count, pre, D^2, post) view: by
-    U, or with a channel by S (U x U*), S the channel on the slot's two
-    qudits.  Samples run in sub-batches of at most ``_MC_BATCH_ELEMENTS``
-    vector or slot-matrix elements each.
+    |0><0| is entry 0 as |0> is.  The samples form a (count, D, ..., D)
+    tensor; a qudit joins it in entry 0 at its first gate as a new last
+    axis, and ``order`` lists the qudit on each axis.  Each slot is one
+    batched matmul by U, or with a channel by S (U x U*), S the channel on
+    the slot's two qudits.  If the two qudits are adjacent in ``order`` and
+    at its front or back, it acts on the (count, pre, D^2, post) view with
+    pre or post 1 and copies nothing.  Otherwise one copy moves both to the
+    front, and each sample is one gemm on the (count, D^2, rest) view.  The
+    readout indexes the axes in ``order``.  Samples run in sub-batches of at
+    most ``_MC_BATCH_ELEMENTS`` vector or slot-matrix elements each.
     """
     n, q = layout.n, layout.q
     gates = {gid: _haar_batch(q * q, count, rng) for gid in sorted({s.gate_id for s in layout.slots})}
@@ -328,46 +336,53 @@ def _run_batch(
         if channel.arity == 1:
             ops = [np.kron(ea, eb) for ea in ops for eb in ops]
         sup = _folded_superop(np.stack(ops), q).sum(axis=0)
-        # the ket = bra entries, with every targeted qudit in |0><0|
-        mask = reduce(np.kron, [np.eye(q * q)[0] if i in targeted else np.eye(q).ravel() for i in range(1, n + 1)])
 
     out = np.empty(count)
     step = max(1, _MC_BATCH_ELEMENTS // max(dim**n, dim**4))
     for lo in range(0, count, step):
         size = min(step, count - lo)
-        v = np.ones((size, 1), dtype=complex)
-        live: list[int] = []
+        v = np.ones(size, dtype=complex)
+        order: list[int] = []  # the qudit on each axis of v after the sample axis
 
         def join(v: np.ndarray, a: int) -> np.ndarray:
-            pos = bisect_left(live, a)
-            live.insert(pos, a)
-            grown = np.zeros((size, dim**pos, dim, v.size // (size * dim**pos)), dtype=complex)
-            grown[:, :, 0] = v.reshape(size, dim**pos, -1)
+            order.append(a)
+            grown = np.zeros(v.shape + (dim,), dtype=complex)
+            grown[..., 0] = v
             return grown
 
         for slot in layout.slots:
             for a in slot.qudits:
-                if a not in live:
+                if a not in order:
                     v = join(v, a)
             mat = gates[slot.gate_id][lo : lo + size]
             if slot.dagger:
                 mat = mat.conj().transpose(0, 2, 1)
             if channel is not None:
                 mat = np.matmul(sup, _folded_superop(mat, q))
-            pre = dim ** live.index(slot.qudits[0])  # acts on (a, a+1), adjacent among the live qudits
-            v = np.matmul(mat[:, None], v.reshape(size, pre, dim * dim, -1))
+            i, j = (order.index(a) for a in slot.qudits)
+            if j == i + 1 and (i == 0 or j == len(order) - 1):
+                v = np.matmul(mat[:, None], v.reshape(size, dim**i, dim * dim, -1))
+                continue
+            # The one copy: both qudits to the front.  v is rebound before the
+            # matmul, so the old buffer is freed and two sample vectors are live.
+            v = np.moveaxis(v.reshape((size,) + (dim,) * len(order)), (1 + i, 1 + j), (1, 2))
+            v = v.reshape(size, dim * dim, -1)
+            order = [*slot.qudits, *(a for a in order if a not in slot.qudits)]
+            v = np.matmul(mat, v)
         for a in range(1, n + 1):
-            if a not in live:
+            if a not in order:
                 v = join(v, a)
         v = v.reshape(size, dim**n)
 
         if channel is not None:
+            # the ket = bra entries, with every targeted qudit in |0><0|
+            mask = reduce(np.kron, [np.eye(q * q)[0] if a in targeted else np.eye(q).ravel() for a in order])
             out[lo : lo + size] = (v @ mask).real
             continue
         norms = np.abs(np.einsum("bi,bi->b", v.conj(), v))
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ArithmeticError("statevector norm drifted beyond 1e-9")
-        kept = (slice(None),) + tuple(0 if i in targeted else slice(None) for i in range(1, n + 1))
+        kept = (slice(None),) + tuple(0 if a in targeted else slice(None) for a in order)
         proj = v.reshape((size,) + (q,) * n)[kept].reshape(size, -1)
         out[lo : lo + size] = np.einsum("bi,bi->b", proj.conj(), proj).real
     return out

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rewindlab
 from rewindlab.cli import main
 from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing
 from rewindlab.oracle import haar_unitary
@@ -607,3 +611,28 @@ def test_compare_nan_or_negative_tolerance_is_usage_error(runner, tolerance):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert "--tolerance" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fidelity", "--family", "hybrid", "--n", "6", "--m", "2", "--method", "closed"],
+        ["sweep", "--family", "local", "--q", "2,3", "--n", "4:8", "--m", "2:6", "--method", "closed"],
+    ],
+    ids=["fidelity", "sweep"],
+)
+def test_closed_form_commands_leave_numpy_unloaded(args, tmp_path):
+    """Closed forms are integer arithmetic; only the oracles and channels need numpy."""
+    if args[0] == "sweep":
+        args = args + ["--output", str(tmp_path / "out.csv")]
+    code = (
+        "import sys\n"
+        "from rewindlab.cli import main\n"
+        "try:\n"
+        "    main.main(sys.argv[1:], standalone_mode=False)\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rewindlab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False", out.stdout

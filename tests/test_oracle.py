@@ -400,6 +400,8 @@ def _reference_density_batch(layout, targeted, channel, rng, count):
 
 DENSITY_CASES = [(shape, ch) for shape in CROSS_SHAPES for ch in ("ad", "rand", "pair")]
 DENSITY_CASES += [((Family.CONVOLUTIONAL, 3, 1, 3), "dep3")]
+# three layers of rewound gates move the axis order furthest at n = 5
+DENSITY_CASES += [((Family.HYBRID, 5, 3, 2), ch) for ch in ("ad", "rand")]
 
 
 @pytest.mark.parametrize("shape,channel_name", DENSITY_CASES, ids=lambda x: x if isinstance(x, str) else "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
@@ -443,7 +445,12 @@ def _reference_pure_batch(layout, targeted, rng, count):
     return out
 
 
-@pytest.mark.parametrize("shape", CROSS_SHAPES, ids=lambda x: "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
+# Wider shapes (q^n <= 256): most rewound slots move their qudits to the
+# front, and the axis order drifts furthest from index order mid-pass.
+PURE_CASES = CROSS_SHAPES + [(Family.CONVOLUTIONAL, 8, 1, 2), (Family.HYBRID, 7, 2, 2), (Family.LOCAL, 6, 6, 2)]
+
+
+@pytest.mark.parametrize("shape", PURE_CASES, ids=lambda x: "{}-n{}-m{}-q{}".format(x[0].value, *x[1:]))
 def test_pure_mc_matches_reference_loop(shape):
     family, n, m, q = shape
     for target in (RecycleTarget.single(n - 1), RecycleTarget.prefix(2), RecycleTarget.pair(n - 1, 1)):
@@ -454,10 +461,12 @@ def test_pure_mc_matches_reference_loop(shape):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(target))
 
 
-def test_pure_mc_joins_qudits_in_index_order():
-    """Right-to-left sweeps join each qudit below the live ones; a qudit no
-    gate touches (3 in the last case) joins between its neighbours before
-    the projection."""
+def _right_to_left_layouts():
+    """Right-to-left sweeps: each new qudit joins as the last axis while its
+    partner sits first, so every gate after the first finds its pair in
+    reverse order and moves it to the front.  A qudit no gate touches (3 in
+    the last case) joins last, just before the readout, so the readout's
+    axis order is not index order."""
 
     def sweeps(n):
         return [(a, a + 1) for a in range(n - 1, 0, -1)] + [(a, a + 1) for a in range(1, n)]
@@ -466,11 +475,25 @@ def test_pure_mc_joins_qudits_in_index_order():
         shape = CircuitShape(Family.CONVOLUTIONAL, n, 1, q)
         slots = tuple(GateSlot(pair, gid) for gid, pair in enumerate(forward))
         for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
-            layout = apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target)
-            targeted = target.qudits(n)
-            got = oracle._run_batch(layout, targeted, np.random.default_rng(617), 5)
-            want = _reference_pure_batch(layout, targeted, np.random.default_rng(617), 5)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"q={q} n={n} {target}")
+            yield q, n, apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target), target
+
+
+def test_pure_mc_right_to_left_sweeps_and_untouched_qudit():
+    for q, n, layout, target in _right_to_left_layouts():
+        targeted = target.qudits(n)
+        got = oracle._run_batch(layout, targeted, np.random.default_rng(617), 5)
+        want = _reference_pure_batch(layout, targeted, np.random.default_rng(617), 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"q={q} n={n} {target}")
+
+
+def test_density_mc_right_to_left_sweeps_and_untouched_qudit():
+    """The same layouts with a channel: the ket = bra mask follows the axis order."""
+    for q, n, layout, target in _right_to_left_layouts():
+        channel = _channel("rand" if q == 2 else "dep3")
+        targeted = target.qudits(n)
+        got = oracle._run_batch(layout, targeted, np.random.default_rng(619), 5, channel)
+        want = _reference_density_batch(layout, targeted, channel, np.random.default_rng(619), 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"q={q} n={n} {target}")
 
 
 def test_density_mc_sub_batches_leave_values_unchanged(monkeypatch):
@@ -564,6 +587,25 @@ def test_twirl_peak_memory_follows_live_width_not_n(channel_name):
             tracemalloc.stop()
 
     assert peak(40) <= 1.25 * peak(5)
+
+
+@pytest.mark.parametrize("family,n,m,count", [(Family.CONVOLUTIONAL, 10, 1, 1024), (Family.HYBRID, 9, 2, 2048)])
+def test_mc_peak_memory_stays_near_two_sample_vectors(family, n, m, count):
+    """Past the Haar draws, a slot holds its input and its output: a moved
+    slot frees the pre-move buffer before its matmul."""
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(family, n, m, 2), target)
+    oracle._run_batch(layout, target.qudits(n), np.random.default_rng(3), 8)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        oracle._run_batch(layout, target.qudits(n), np.random.default_rng(3), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    itemsize = np.dtype(complex).itemsize
+    draws = len({s.gate_id for s in layout.slots}) * count * 2**4 * itemsize
+    size = min(count, oracle._MC_BATCH_ELEMENTS // 2**n)
+    assert peak <= draws + 2.25 * size * 2**n * itemsize
 
 
 def test_channel_of_wrong_qudit_dimension_refused():
