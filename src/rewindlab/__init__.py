@@ -1,13 +1,16 @@
 """Haar-averaged fidelity of the qudit rewinding protocol.
 
-Four independent routes to the same number:
+Six routes to the same number, named as the CLI's ``--method`` names them:
 
-* closed-form expressions (:mod:`rewindlab.closedform`),
-* weighted single-domain-wall path sums and exhaustive spin sums over the
-  mapped lattice model (:mod:`rewindlab.statmech`),
-* 2x2 transfer-matrix products for convolutional circuits, with or
-  without noise (:mod:`rewindlab.statmech`),
-* direct quantum contraction / Monte-Carlo sampling (:mod:`rewindlab.oracle`).
+* ``closed``: closed-form expressions (:mod:`rewindlab.closedform`),
+* ``wall``: weighted single-domain-wall path sums over the mapped lattice
+  model (:mod:`rewindlab.statmech`),
+* ``sum``: full spin-configuration sums over the same lattice
+  (:mod:`rewindlab.statmech`),
+* ``transfer``: 2x2 transfer-matrix products for convolutional circuits,
+  with or without noise (:mod:`rewindlab.statmech`),
+* ``twirl``: the exact second-moment contraction (:mod:`rewindlab.oracle`),
+* ``mc``: Monte-Carlo sampling of Haar gates (:mod:`rewindlab.oracle`).
 
 Each route cross-checks the others; the exact second-moment twirl oracle is
 the arbiter wherever it fits in memory.

@@ -214,7 +214,8 @@ def _route_options(sampled: bool):
 
 @click.group(cls=_Group)
 def main():
-    """Averaged fidelity of the qudit rewinding protocol, four ways."""
+    """Averaged fidelity of the qudit rewinding protocol by six routes:
+    closed, wall, sum, transfer, twirl and mc."""
 
 
 @main.command()

@@ -72,15 +72,13 @@ def conv_fidelity(q: int, n: int, target: RecycleTarget) -> FidelityResult:
         else:
             inner = 1 + Fraction((q - 1) ** 2, q) * Fraction(q, q * q + 1) ** (k - 2)
             value = 1 - lam ** (n - k) * (1 - Fraction(1, q * (q * q - q + 1)) * inner)
-    elif target.kind == "pair":
+    else:  # pair; target.validate refuses every other kind
         i, j = target.indices
         if (i, j) == (2, 1):
             # qudits {1, 2} together are exactly the two-qudit prefix
             return FidelityResult(value=conv_fidelity(q, n, RecycleTarget.prefix(2)).value, method="closed")
         j = max(j, 2)
         value = 1 - Fraction(q - 1, q) * lam ** (n - i) * (1 + Fraction(1, q) * lam ** (i - j))
-    else:
-        raise InvalidTargetError(f"unsupported target {target}")
     return FidelityResult(value=value, method="closed")
 
 
@@ -235,23 +233,6 @@ def hybrid_fidelity(q: int, n: int, m: int) -> FidelityResult:
 # -- local circuits ----------------------------------------------------------
 
 
-def local_shallow(q: int, n: int, m: int) -> Fraction:
-    """Brickwork wall ensemble for depth m <= n-2; telescopes to exactly 1.
-
-    Every wall is pinned to the active corner: it enters on the first layer
-    at distance 2k+3 below the last qudit (k = 0..(m-4)/2, weight
-    (q/(1+q^2))^(m-2) q^(m-4-2k)) or ascends straight (weight lambda^(m-2)),
-    and exits through the fixed point (1, n-4) after m-2 free layers.  The
-    entry points share one backward touch recursion, O(m^2) segment counts,
-    and the weights are summed over one denominator by :func:`_weighted_sum`.
-    """
-    ks = range(0, (m - 4) // 2 + 1)
-    numerators, scale = _touch_sums(q, [(-k, n - m - 1 + k) for k in ks], (1, n - 4), n - 4, (-1, n - 5))
-    terms = [(2 * m - 4, m - 2, scale)]  # straight ascent, lambda^(m-2)
-    terms += [(2 * m - 6 - 2 * k, m - 2, numerator) for k, numerator in zip(ks, numerators)]
-    return _weighted_sum(q, terms, scale)
-
-
 def local_deep(q: int, n: int, m: int) -> Fraction:
     """Deep-brickwork fidelity (m >= n), recycling the first qudit.
 
@@ -268,8 +249,11 @@ def local_fidelity(q: int, n: int, m: int) -> FidelityResult:
     """Recycling the first qudit of the n-qudit, depth-m brickwork."""
     if n % 2 or m % 2 or n < 4 or m < 2:
         raise InvalidShapeError("local circuits need even n >= 4 and even m >= 2")
-    # even parity leaves no m strictly between n - 2 and n
-    value = local_shallow(q, n, m) if m <= n - 2 else local_deep(q, n, m)
+    # At m <= n - 2 qudit 1 lies outside the active light cone (the gates
+    # that reach qudit n), so the rewinding undoes every gate in its past
+    # and it returns to |0> exactly.  Even parity leaves no m strictly
+    # between n - 2 and n.
+    value = Fraction(1) if m <= n - 2 else local_deep(q, n, m)
     return FidelityResult(value=value, method="closed")
 
 

@@ -110,8 +110,11 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
         p0[0, 0] = 1.0
         dressed = sum(e.conj().T @ p0 @ e for e in ops)
         if np.max(np.abs(dressed - p0)) > BOUNDARY_FIXED_TOL:
-            r_one = float(np.real(np.trace(dressed)))
             r_s = float(np.real(dressed[0, 0]))
+            # Tr Phi*(|0><0|) = <0| sum E E^dag |0>, exactly 1 for a unital
+            # channel; the Kraus sum would round it (0.9999999999999999)
+            unital = np.linalg.norm(sum(e @ e.conj().T for e in ops) - np.eye(q)) <= COMPLETENESS_TOL
+            r_one = 1.0 if unital else float(np.real(np.trace(dressed)))
 
     # Cauchy-Schwarz bounds alpha and beta by 1 for a trace-preserving
     # channel; a unitary one can round past it (beta = 1 + 4e-16 for a

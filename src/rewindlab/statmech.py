@@ -5,9 +5,10 @@ S2 = {ONE, S}; non-rewound gates, the circuit input and the final
 contraction act as fixed boundaries.  The averaged fidelity becomes a
 partition sum over spin configurations with one trivalent weight table
 per node, :meth:`TrivalentRule.table`.  Each upward leg carries its own
-dressing p: alpha on a leg to the fidelity cap, beta on a gate-to-gate
-leg, 1 on a leg into a non-rewound gate (and on every leg without
-noise).  With d4 = q^4 - 1, leg spins (e1, e2) and own spin tau:
+dressing p: beta on a free (gate-to-gate) leg, alpha on a fixed one (to
+the fidelity cap or a non-rewound gate), and 1 on every leg without
+noise.  A leg fixed at ONE never reads its p.  With d4 = q^4 - 1, leg
+spins (e1, e2) and own spin tau:
 
     (e1, e2)       tau = ONE                tau = S
     (ONE, ONE)     1                        0
@@ -15,9 +16,9 @@ noise).  With d4 = q^4 - 1, leg spins (e1, e2) and own spin tau:
     (S, ONE)       q (q^2 - p1) / d4        q (p1 q^2 - 1) / d4
     (S, S)         q^2 (1 - p1 p2) / d4     (p1 p2 q^4 - 1) / d4
 
-times the legs' constants and the node's boundary factors.  Without
-noise an entry is 1 when all three spins agree, q/(1+q^2) when the two
-leg spins differ, and 0 when they agree and the own spin does not.
+times the node's input-wire factors.  Without noise an entry is 1 when
+all three spins agree, q/(1+q^2) when the two leg spins differ, and 0
+when they agree and the own spin does not.
 
 :func:`lattice_from_circuit` builds the lattice directly from a gate
 layout by walking each qudit's wire upward, and three evaluators read
@@ -29,15 +30,20 @@ the one table:
   configurations only (every nonzero-weight noiseless configuration),
   found by its own pruned search,
 * :func:`transfer_fidelity` -- 2x2 product for the convolutional chain,
-  whose node is the table's (S, old) -> new entries; valid with or
-  without noise.
+  whose nodes are the table's (new, S, old) entries with their input
+  wires in them; valid with or without noise.
 
 Boundary bookkeeping (exact, derived from the folded four-copy picture):
-a wire into a non-rewound gate collapses to the fixed spin ONE and scales
-the emitter leg by 1/q^2; the fidelity cap behaves as a fixed S spin; the
-circuit input contributes per-node factors (q, 1) for kept qudits and
-(1, 1) for recycled ones.  With noise the recycled-qudit input factors
-are dressed by the adjoint channel acting right before the measurement.
+the lattice holds only its graph, and every weight is the rule's.  A
+node's upward leg ends at a free node or at a fixed spin: S for the
+fidelity cap, ONE for a non-rewound gate.  A node's input wire from
+below is "kept" or "recycled"; the table weighs it (q, 1) at
+(ONE, S) when kept and by the recycled boundary, (1, 1) without noise,
+when recycled.  With noise that boundary is dressed by the adjoint
+channel acting right before the measurement.  A non-rewound gate leaves
+its wires kept, and each node leg or recycled wire ending in it
+multiplies the lattice's ``global_const`` by 1/q.  Kept and recycled
+wires contract to 1 against the cap.
 """
 
 from __future__ import annotations
@@ -69,10 +75,10 @@ class S2Spin(IntEnum):
 class TrivalentRule:
     """Node-weight table of the averaged (second-moment) gates.
 
-    ``alpha`` dresses legs to the fidelity cap, ``beta`` gate-to-gate
-    legs, and ``recycled_boundary`` is the overlap of the projected-qudit
-    input with (ONE, S) once the adjoint channel dresses it.  All default
-    to 1, which gives the noiseless table exactly.
+    ``alpha`` dresses fixed legs, ``beta`` free (gate-to-gate) legs, and
+    ``recycled_boundary`` is the overlap of the projected-qudit input
+    with (ONE, S) once the adjoint channel dresses it.  All default to 1,
+    which gives the noiseless table exactly.
     """
 
     q: int
@@ -93,17 +99,19 @@ class TrivalentRule:
     def table(self, node: LatticeNode) -> dict:
         """Weights of ``node`` keyed by (own spin, leg-1 spin, leg-2 spin).
 
-        A leg with a fixed absorber takes only that absorber's spin.  The
-        entries are exact Fractions when every parameter is exact.
+        A free leg carries ``beta`` and a fixed leg ``alpha``; a leg fixed
+        at ONE never reads its dressing.  Input wires multiply the entries
+        at (ONE, S) by (q, 1) when kept and by ``recycled_boundary`` when
+        recycled.  The entries are exact when every parameter is exact.
         """
         q = self.q
         d4 = q**4 - 1
         leg1, leg2 = node.legs
-        dressing = {"none": 1, "alpha": self.alpha, "beta": self.beta}
-        p1, p2 = dressing[leg1.dress], dressing[leg2.dress]
-        at_one = at_s = leg1.const * leg2.const
+        p1 = self.alpha if leg1.ref is None else self.beta
+        p2 = self.alpha if leg2.ref is None else self.beta
+        at_one = at_s = 1
         for kind in node.bottoms:
-            one, s = self.recycled_boundary if kind == "recycled" else _BOTTOM_FACTORS[kind](q)
+            one, s = self.recycled_boundary if kind == "recycled" else (q, 1)
             at_one, at_s = at_one * one, at_s * s
         out = {}
         for e1 in (0, 1) if leg1.eff is None else (int(leg1.eff),):
@@ -133,14 +141,12 @@ class LatticeLeg:
     """Upward wire of a free node.
 
     ``ref`` points at the absorbing free node (spin resolved per
-    configuration); otherwise ``eff`` is the fixed absorber spin.  The
-    ``dress`` tag marks which noise dressing the wire carries.
+    configuration); otherwise ``eff`` is the fixed absorber spin: S for
+    the fidelity cap, ONE for a non-rewound gate.
     """
 
     ref: int | None
     eff: S2Spin | None
-    const: Fraction
-    dress: str  # "none" | "alpha" | "beta"
 
 
 @dataclass
@@ -149,12 +155,12 @@ class LatticeNode:
     qudits: tuple[int, int]
     coords: tuple[int, int]  # (repeat index of this gate position, left qudit)
     legs: list[LatticeLeg] = field(default_factory=list)
-    bottoms: list[str] = field(default_factory=list)  # "kept" | "recycled" | "fixed_one" | "fixed_one_t"
+    bottoms: list[str] = field(default_factory=list)  # input wires: "kept" | "recycled"
 
 
 @dataclass
 class DiagramLattice:
-    """Free spin nodes plus boundary data for one protocol instance."""
+    """Free spin nodes plus the constant factor of one protocol instance."""
 
     q: int
     n: int
@@ -169,14 +175,6 @@ class DiagramLattice:
         return len(self.nodes)
 
 
-_BOTTOM_FACTORS = {
-    # kind -> (value at ONE, value at S); recycled wires are dressed separately
-    "kept": lambda q: (Fraction(q), Fraction(1)),
-    "fixed_one": lambda q: (Fraction(q * q), Fraction(q)),
-    "fixed_one_t": lambda q: (Fraction(q), Fraction(1)),
-}
-
-
 def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLattice:
     """Map a rewound layout to its spin lattice by walking qudit wires."""
     if not layout.has_rewinding:
@@ -186,15 +184,11 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
     rewound = layout.rewound_ids
 
     nodes: list[LatticeNode] = []
-    carried: dict[int, object] = {
-        w: ("recycled" if w in targeted else "bottom") for w in range(1, n + 1)
-    }
+    # a wire carries the index of the node it left, or its input kind
+    carried: dict[int, int | str] = {w: ("recycled" if w in targeted else "kept") for w in range(1, n + 1)}
     global_const = Fraction(1)
     undressed = 0
     seen_pairs: dict[tuple[int, int], int] = {}
-
-    inv_q = Fraction(1, q)
-    inv_q2 = Fraction(1, q * q)
 
     for slot in layout.forward_slots:
         pair = slot.qudits
@@ -205,40 +199,28 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
             for w in pair:
                 st = carried[w]
                 if isinstance(st, int):
-                    nodes[st].legs.append(LatticeLeg(ref=node.index, eff=None, const=Fraction(1), dress="beta"))
-                elif st == "bottom":
-                    node.bottoms.append("kept")
-                elif st == "recycled":
-                    node.bottoms.append("recycled")
+                    nodes[st].legs.append(LatticeLeg(ref=node.index, eff=None))
                 else:
-                    node.bottoms.append(st)  # fixed_one / fixed_one_t
+                    node.bottoms.append(st)
                 carried[w] = node.index
             nodes.append(node)
         else:
+            # a non-rewound gate fixes ONE on its wires and leaves them kept;
+            # each node leg and each recycled wire ending in it costs 1/q
             for w in pair:
                 st = carried[w]
                 if isinstance(st, int):
-                    nodes[st].legs.append(LatticeLeg(ref=None, eff=S2Spin.ONE, const=inv_q2, dress="none"))
-                    carried[w] = "fixed_one"
-                elif st == "bottom":
-                    global_const *= inv_q
-                    carried[w] = "fixed_one"
+                    nodes[st].legs.append(LatticeLeg(ref=None, eff=S2Spin.ONE))
                 elif st == "recycled":
-                    global_const *= inv_q
-                    carried[w] = "fixed_one_t"
                     undressed += 1
-                elif st == "fixed_one":
-                    carried[w] = "fixed_one"  # (1/q) * <Phi|Phi> = 1
-                else:
-                    carried[w] = "fixed_one_t"
+                if st != "kept":
+                    global_const /= q
+                carried[w] = "kept"
 
+    # kept and recycled wires contract to 1 against the S cap
     for w in range(1, n + 1):
-        st = carried[w]
-        if isinstance(st, int):
-            nodes[st].legs.append(LatticeLeg(ref=None, eff=S2Spin.S, const=Fraction(1), dress="alpha"))
-        elif st == "fixed_one":
-            global_const *= q
-        # bottom / recycled / fixed_one_t contract to 1 against the S cap
+        if isinstance(carried[w], int):
+            nodes[carried[w]].legs.append(LatticeLeg(ref=None, eff=S2Spin.S))
 
     for nd in nodes:
         if len(nd.legs) != 2:
@@ -375,32 +357,22 @@ def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
 # -- transfer matrices -----------------------------------------------------
 
 
-# One gate of the convolutional chain: leg 1 is the alpha-dressed leg to
-# the cap, leg 2 the beta-dressed leg to the next chain node (any ref
-# marks a leg free).  Its input wires are applied by transfer_fidelity.
-_CHAIN_NODE = LatticeNode(
-    index=0,
-    qudits=(1, 2),
-    coords=(0, 1),
-    legs=[LatticeLeg(ref=None, eff=S2Spin.S, const=1, dress="alpha"), LatticeLeg(ref=0, eff=None, const=1, dress="beta")],
-)
+_CHAIN_LEGS = (LatticeLeg(ref=None, eff=S2Spin.S), LatticeLeg(ref=0, eff=None))
 
 
-def _chain_node(rule: TrivalentRule) -> list[list]:
+def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...]) -> list[list]:
     """Chain node ``[new][old]`` of the convolutional transfer product.
 
-    These are the rule's table entries (S, old) -> new of
-    ``_CHAIN_NODE``.  With a kept input wire, diag(q, 1) times this node
-    has the eigenvalue 1, with left eigenvector (q, 1), and the
-    subleading eigenvalue alpha q^2 (beta q^2 - 1)/(q^4 - 1), which is
-    q^2/(q^2+1) without noise.
+    One gate of the chain: leg 1 goes to the fidelity cap (fixed at S,
+    alpha), leg 2 to the next chain node (free, beta), and ``bottoms``
+    are its input wires.  These are the rule's table entries
+    (new, S, old).  With one kept input wire the node has the eigenvalue
+    1, with left eigenvector (q, 1), and the subleading eigenvalue
+    alpha q^2 (beta q^2 - 1)/(q^4 - 1), which is q^2/(q^2+1) without
+    noise.
     """
-    table = rule.table(_CHAIN_NODE)
-    return [[table[new, 1, old] for old in (0, 1)] for new in (0, 1)]
-
-
-def _mat_vec(m, v):
-    return [m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1]]
+    table = rule.table(LatticeNode(index=0, qudits=(1, 2), coords=(0, 1), legs=_CHAIN_LEGS, bottoms=bottoms))
+    return [[table[0, 1, 0], table[0, 1, 1]], [table[1, 1, 0], table[1, 1, 1]]]
 
 
 def transfer_fidelity(
@@ -414,31 +386,23 @@ def transfer_fidelity(
     """Convolutional-chain fidelity as a product of 2x2 node matrices.
 
     Node j of the chain (gate (j, j+1), j = 1..n-2) maps the spin of node
-    j+1 to its own through :func:`_chain_node`; its input wires then
-    multiply in their boundary factors.  ``recycled_factors`` dresses the
+    j+1 to its own through :func:`_chain_node`, with its input wires in
+    it: qudits 1 and 2 for node 1, qudit j+1 for node j > 1.  The top
+    node's chain leg enters the non-rewound gate (n-1, n), so it starts
+    at ONE and costs 1/q.  ``recycled_factors`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
-    the measurement; (1, 1) is the noiseless value.
+    the measurement; (1, 1) is the noiseless value.  The value is exact
+    when every parameter is.
     """
     if n < 3:
         raise InvalidShapeError("chain needs n >= 3")
     rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
-    node = _chain_node(rule)
-    r_one, r_s = rule.recycled_boundary
-    exact = isinstance(node[0][0], Fraction) and all(isinstance(x, (int, Fraction)) for x in (r_one, r_s))
     targeted = target.qudits(n)
-
-    # Bottom wires per node: node 1 absorbs qudits {1, 2}, node j absorbs
-    # qudit j+1.  Kept wires give diag(q, 1), recycled ones diag(r1, rs).
-    v = [Fraction(1) if exact else 1.0, Fraction(0) if exact else 0.0]
-    for j in range(n - 2, 0, -1):
-        wires = (1, 2) if j == 1 else (j + 1,)
-        b_one, b_s = 1, 1
-        for w in wires:
-            if w in targeted:
-                b_one, b_s = b_one * r_one, b_s * r_s
-            else:
-                b_one = b_one * q
-        v = _mat_vec(node, v)
-        v = [b_one * v[0], b_s * v[1]]
-    value = (v[0] + v[1]) / Fraction(q) if exact else float(v[0] + v[1]) / q
-    return FidelityResult(value=value, method="transfer")
+    kind = ["recycled" if w in targeted else "kept" for w in range(n)]
+    # input wires per node, from the top node down to node 1
+    chain = [(kind[w],) for w in range(n - 1, 2, -1)] + [(kind[1], kind[2])]
+    nodes = {bottoms: _chain_node(rule, bottoms) for bottoms in set(chain)}
+    one, s = 1, 0
+    for (a, b), (c, d) in map(nodes.get, chain):
+        one, s = a * one + b * s, c * one + d * s
+    return FidelityResult(value=(one + s) / q, method="transfer")

@@ -636,3 +636,21 @@ def test_closed_form_commands_leave_numpy_unloaded(args, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rewindlab.__file__))}
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip().splitlines()[-1] == "False", out.stdout
+
+
+def _readme_commands():
+    """The ``rewindlab ...`` lines of README's "Command line" block, continuations joined."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    text = block.replace("\\\n", " ")
+    return [line.split("#", 1)[0].split() for line in text.splitlines() if line.startswith("rewindlab ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands(), ids=lambda c: c[1])
+def test_readme_command_runs(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "depol.json").write_text(depolarizing(2, 0.04).to_json())
+    (tmp_path / "shape.json").write_text(json.dumps({"family": "conv", "n": 4, "q": 2, "target": {"kind": "single", "indices": [1]}}))
+    result = runner.invoke(main, command[1:])
+    assert result.exit_code == 0, (command, result.output)

@@ -16,7 +16,6 @@ from rewindlab.closedform import (
     hybrid_special,
     local_deep,
     local_fidelity,
-    local_shallow,
     noisy_conv_correlation_limit,
     noisy_conv_fidelity,
     noisy_lambda2,
@@ -290,11 +289,12 @@ def test_closed_forms_answer_every_admitted_shape(q, shape):
 
 
 def test_local_shallow_is_one():
+    # qudit 1 lies outside the active light cone at m <= n - 2
     for q in (2, 3, 5):
         for n in (4, 6, 8, 10):
             for m in range(2, n - 1, 2):
-                assert local_shallow(q, n, m) == 1, (q, n, m)
-                assert local_fidelity(q, n, m).value == 1
+                assert local_fidelity(q, n, m).value == 1, (q, n, m)
+                assert lattice_value(Family.LOCAL, n, m, q) == 1, (q, n, m)
 
 
 def test_local_deep_matches_lattice():

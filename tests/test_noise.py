@@ -72,6 +72,14 @@ def test_recycled_boundary_undressed_exactly_when_adjoint_fixes_projector():
     assert channel_stats(depolarizing(2, 0.05)).recycled_boundary[1] == pytest.approx(0.975, abs=1e-12)
 
 
+def test_unital_recycled_one_is_exactly_one():
+    # the Kraus sum rounded depolarizing to 0.9999999999999999 (q = 2) and
+    # 0.9999999999999998 (q = 3); a unital channel gives Tr Phi*(|0><0|) = 1
+    for q in (2, 3):
+        assert channel_stats(depolarizing(q, 0.05)).recycled_one == 1.0
+    assert channel_stats(amplitude_damping(2, 0.05)).recycled_one == 1.05
+
+
 def test_amplitude_damping():
     stats = channel_stats(amplitude_damping(2, 0.1))
     g = 0.1

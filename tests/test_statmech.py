@@ -40,14 +40,17 @@ def make_lattice(family, n, m, q, target):
 # -- rule tables -------------------------------------------------------------
 
 
-def _free_node(dress1="beta", dress2="beta"):
-    """A node whose two upward legs both read free spins."""
-    legs = [LatticeLeg(ref=0, eff=None, const=Fraction(1), dress=d) for d in (dress1, dress2)]
-    return LatticeNode(index=1, qudits=(1, 2), coords=(0, 1), legs=legs)
+# the three leg kinds: free (reads beta), cap at S (reads alpha), fixed at ONE
+LEGS = {"free": LatticeLeg(ref=0, eff=None), "cap": LatticeLeg(ref=None, eff=S), "one": LatticeLeg(ref=None, eff=ONE)}
+
+
+def _node(kind1="free", kind2="free", bottoms=()):
+    """A node with upward legs of the given kinds and the given input wires."""
+    return LatticeNode(index=1, qudits=(1, 2), coords=(0, 1), legs=[LEGS[kind1], LEGS[kind2]], bottoms=list(bottoms))
 
 
 def test_solid_rule_noiseless():
-    table = TrivalentRule(2).table(_free_node())
+    table = TrivalentRule(2).table(_node())
     assert table[ONE, ONE, ONE] == 1
     assert table[S, S, S] == 1
     assert table[S, ONE, ONE] == 0
@@ -58,32 +61,42 @@ def test_solid_rule_noiseless():
 
 
 def test_noisy_rules_reduce_to_noiseless():
-    for dress in [("alpha", "beta"), ("beta", "alpha"), ("none", "alpha"), ("beta", "beta")]:
-        clean = TrivalentRule(2).table(_free_node(*dress))
+    for kinds in [("cap", "free"), ("free", "cap"), ("one", "cap"), ("free", "one"), ("free", "free")]:
+        clean = TrivalentRule(2).table(_node(*kinds))
         for rule in (
             TrivalentRule(2, alpha=1, beta=1),
             TrivalentRule(2, alpha=Fraction(1), beta=Fraction(1), recycled_boundary=(Fraction(1), Fraction(1))),
         ):
             assert not rule.noisy
-            assert rule.table(_free_node(*dress)) == clean
+            assert rule.table(_node(*kinds)) == clean
 
 
 def test_noisy_rule_values():
-    # each leg carries its own dressing: alpha on leg 1, beta on leg 2 first
+    # each leg carries its own dressing: alpha on the cap leg, beta on a free one
     q = 2
     rule = TrivalentRule(q, alpha=0.9, beta=0.8)
     d4 = q**4 - 1
-    table = rule.table(_free_node("alpha", "beta"))
+    table = rule.table(_node("cap", "free"))
+    assert set(table) == {(tau, 1, e2) for tau in (0, 1) for e2 in (0, 1)}
     assert table[S, S, S] == pytest.approx((0.72 * 16 - 1) / d4)
     assert table[ONE, S, ONE] == pytest.approx(q * (4 - 0.9) / d4)
-    assert table[S, ONE, S] == pytest.approx(q * (0.8 * 4 - 1) / d4)
-    swapped = rule.table(_free_node("beta", "alpha"))
+    swapped = rule.table(_node("free", "cap"))
     assert swapped[ONE, ONE, S] == pytest.approx(q * (4 - 0.9) / d4)
-    assert swapped[S, S, ONE] == pytest.approx(q * (0.8 * 4 - 1) / d4)
-    both_beta = rule.table(_free_node("beta", "beta"))
+    assert swapped[S, S, S] == pytest.approx((0.72 * 16 - 1) / d4)
+    both_beta = rule.table(_node("free", "free"))
+    assert both_beta[S, ONE, S] == pytest.approx(q * (0.8 * 4 - 1) / d4)
     assert both_beta[ONE, S, S] == pytest.approx(4 * (1 - 0.64) / d4)
-    # a leg into a non-rewound gate stays bare
-    assert rule.table(_free_node("none", "beta"))[ONE, S, ONE] == pytest.approx(q * (4 - 1) / d4)
+    # a leg fixed at ONE never reads its dressing
+    pinned = rule.table(_node("one", "free"))
+    assert set(pinned) == {(tau, 0, e2) for tau in (0, 1) for e2 in (0, 1)}
+    assert pinned[ONE, ONE, S] == pytest.approx(q * (4 - 0.8) / d4)
+    assert TrivalentRule(q, alpha=0.3, beta=0.8).table(_node("one", "free")) == pinned
+    # input wires scale the entries at (ONE, S): (q, 1) kept, the boundary recycled
+    dressed = TrivalentRule(q, alpha=0.9, beta=0.8, recycled_boundary=(1.05, 0.9))
+    bare = dressed.table(_node("cap", "free"))
+    wired = dressed.table(_node("cap", "free", bottoms=("kept", "recycled")))
+    for (tau, e1, e2), w in bare.items():
+        assert wired[tau, e1, e2] == pytest.approx(w * (q * 1.05 if tau == ONE else 0.9))
 
 
 # -- lattice construction ----------------------------------------------------
@@ -197,15 +210,9 @@ def test_single_wall_equals_exhaustive_batch():
 # -- transfer matrices -------------------------------------------------------
 
 
-def _bulk_matrix(rule):
-    """Chain node with a kept input wire: diag(q, 1) times the node."""
-    node = statmech._chain_node(rule)
-    return [[rule.q * x for x in node[0]], node[1]]
-
-
 def test_transfer_chain_noiseless_eigenvalues():
     for q in (2, 3, 5):
-        t = _bulk_matrix(TrivalentRule(q))
+        t = statmech._chain_node(TrivalentRule(q), ("kept",))
         trace, det = t[0][0] + t[1][1], t[0][0] * t[1][1] - t[0][1] * t[1][0]
         # characteristic polynomial x^2 - trace x + det vanishes at 1, so
         # the other eigenvalue is det
@@ -218,7 +225,7 @@ def test_transfer_chain_noiseless_eigenvalues():
 
 def test_transfer_chain_noisy_eigenvalues():
     for q, a, b in [(2, 0.97, 0.9412), (3, 0.9, 0.95), (2, 0.9, 0.8)]:
-        t = _bulk_matrix(TrivalentRule(q, alpha=a, beta=b))
+        t = statmech._chain_node(TrivalentRule(q, alpha=a, beta=b), ("kept",))
         trace, det = t[0][0] + t[1][1], t[0][0] * t[1][1] - t[0][1] * t[1][0]
         assert 1 - trace + det == pytest.approx(0, abs=1e-14)
         assert det == pytest.approx(noisy_lambda2(q, a, b), abs=1e-14)
@@ -229,13 +236,14 @@ def test_transfer_chain_noisy_eigenvalues():
 def test_transfer_matches_paper_entries():
     q, a, b = 2, 0.9, 0.8
     rule = TrivalentRule(q, alpha=a, beta=b)
-    t = _bulk_matrix(rule)
+    t = statmech._chain_node(rule, ("kept",))
     d4 = q**4 - 1
     assert t[0][0] == pytest.approx(q * q * (q * q - a) / d4)
     assert t[0][1] == pytest.approx((1 - a * b) * q**3 / d4)
     assert t[1][0] == pytest.approx(q * (a * q * q - 1) / d4)
     assert t[1][1] == pytest.approx((a * b * q**4 - 1) / d4)
-    assert statmech._chain_node(rule)[0][0] == pytest.approx(q * (q * q - a) / d4)
+    # without input wires the node is the table's bare (new, S, old) entries
+    assert statmech._chain_node(rule, ())[0][0] == pytest.approx(q * (q * q - a) / d4)
     det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
     assert det == pytest.approx(a * q * q * (b * q * q - 1) / d4)
 
@@ -351,21 +359,42 @@ def test_noisy_sum_dephasing_undressed_recycled_wire_matches_twirl():
     assert partition_sum_exhaustive(lattice, _rule(channel)).value == pytest.approx(tw, abs=1e-12)
 
 
+GRAPH_SHAPES = (
+    [(Family.CONVOLUTIONAL, n, 1) for n in range(3, 12)]
+    + [(Family.HYBRID, n, m) for n in range(3, 10) for m in range(1, 8)]
+    + [(Family.LOCAL, n, m) for n in range(4, 13, 2) for m in range(2, 21, 2)]
+)
+
+
 def test_no_node_sends_both_upward_legs_to_one_node():
     # A node whose two upward legs end at one node would need the channel
     # applied forward and adjoint on one qudit pair, a statistic no route
     # reads; every lattice the circuit families build is free of them.
-    shapes = [(Family.CONVOLUTIONAL, n, 1) for n in range(3, 12)]
-    shapes += [(Family.HYBRID, n, m) for n in range(3, 10) for m in range(1, 8)]
-    shapes += [(Family.LOCAL, n, m) for n in range(4, 13, 2) for m in range(2, 21, 2)]
     seen = 0
-    for family, n, m in shapes:
+    for family, n, m in GRAPH_SHAPES:
         for i in range(1, n):
             for node in make_lattice(family, n, m, 2, RecycleTarget.single(i)).nodes:
                 up, other = (leg.ref for leg in node.legs)
                 assert up is None or up != other, (family, n, m, i, node.index)
                 seen += 1
     assert seen == 18784
+
+
+def test_lattice_holds_only_its_graph():
+    # every weight is the rule's: legs are free or fixed, input wires kept
+    # or recycled, and the lattice's constant is 1/q per leg fixed at ONE
+    # and per undressed recycled wire
+    for family, n, m in GRAPH_SHAPES:
+        for i in range(1, n):
+            for q in (2, 3):
+                lattice = make_lattice(family, n, m, q, RecycleTarget.single(i))
+                pinned = 0
+                for node in lattice.nodes:
+                    assert set(node.bottoms) <= {"kept", "recycled"}
+                    for leg in node.legs:
+                        assert (leg.ref is None) != (leg.eff is None), (family, n, m, i, node.index)
+                        pinned += leg.eff == ONE
+                assert lattice.global_const == Fraction(1, q ** (pinned + lattice.undressed)), (family, n, m, i, q)
 
 
 # -- frontier contraction against the 2^g enumeration --------------------------
@@ -391,21 +420,20 @@ def _reference_node_table(node, q, alpha=1, beta=1, recycled=(1, 1)):
     """Node weights from the second-moment Weingarten sum, test-only.
 
     Entry (tau, e1, e2) is sum_sigma Wg(sigma, tau) <e1|sigma> <e2|sigma>
-    times the legs' constants and the bottom factors at tau.  With
-    d = q^2, Wg is 1/(d^2-1) for sigma = tau and -1/(d(d^2-1)) otherwise;
-    a leg overlap is q for differing spins, q^2 for equal ones, and q^2
-    times the leg's dressing when both are S.
+    times the input-wire factors at tau.  With d = q^2, Wg is 1/(d^2-1)
+    for sigma = tau and -1/(d(d^2-1)) otherwise; a leg overlap is q for
+    differing spins, q^2 for equal ones, and q^2 times the leg's dressing
+    (beta for a free leg, alpha for a fixed one) when both are S.
     """
     d = q * q
     wg_same, wg_diff = Fraction(1, d * d - 1), Fraction(-1, d * (d * d - 1))
-    dressing = {"none": 1, "alpha": alpha, "beta": beta}
-    bottom = {"kept": (q, 1), "fixed_one": (q * q, q), "fixed_one_t": (q, 1), "recycled": recycled}
+    bottom = {"kept": (q, 1), "recycled": recycled}
     leg1, leg2 = node.legs
 
     def overlap(leg, e, sigma):
         if e != sigma:
             return q
-        return q * q * (dressing[leg.dress] if sigma == S else 1)
+        return q * q * ((alpha if leg.ref is None else beta) if sigma == S else 1)
 
     out = {}
     for tau in (ONE, S):
@@ -418,7 +446,7 @@ def _reference_node_table(node, q, alpha=1, beta=1, recycled=(1, 1)):
                     (wg_same if sigma == tau else wg_diff) * overlap(leg1, e1, sigma) * overlap(leg2, e2, sigma)
                     for sigma in (ONE, S)
                 )
-                out[int(tau), int(e1), int(e2)] = total * leg1.const * leg2.const * bfac
+                out[int(tau), int(e1), int(e2)] = total * bfac
     return out
 
 
