@@ -11,10 +11,10 @@ is applied twice (forward, then inverted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from rewindlab.errors import InvalidShapeError, InvalidTargetError, TargetNotIdleError
+from rewindlab.errors import InvalidShapeError, InvalidTargetError
 
 
 class Family(str, Enum):
@@ -188,11 +188,15 @@ class GateLayout:
 
     shape: CircuitShape
     slots: tuple[GateSlot, ...]
-    idle: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def n(self) -> int:
         return self.shape.n
+
+    @property
+    def idle(self) -> frozenset[int]:
+        """Qudits 1..n-1; the continuation acts on qudit n only."""
+        return frozenset(range(1, self.n))
 
     @property
     def q(self) -> int:
@@ -234,25 +238,23 @@ def build_circuit(shape: CircuitShape) -> GateLayout:
     """
     pairs = _forward_sequence(shape)
     slots = tuple(GateSlot(p, gid) for gid, p in enumerate(pairs))
-    idle = frozenset(range(1, shape.n))
-    return GateLayout(shape=shape, slots=slots, idle=idle)
+    return GateLayout(shape=shape, slots=slots)
 
 
 def apply_rewinding(layout: GateLayout, target: RecycleTarget) -> GateLayout:
     """Append the daggered idle-only gate subsequence in reverse order.
 
     The rewound slots invert exactly the forward gates supported on idle
-    qudits; the target is validated against the idle set but does not change
-    the rewinding itself.
+    qudits; the target is validated (every valid target is idle) but does
+    not change the rewinding itself.
     """
     if layout.has_rewinding:
         return layout
-    targeted = target.qudits(layout.n)
-    if not targeted <= layout.idle:
-        raise TargetNotIdleError(f"target {sorted(targeted)} not within idle set {sorted(layout.idle)}")
-    idle_only = [s for s in layout.slots if set(s.qudits) <= layout.idle]
+    target.validate(layout.n)
+    idle = layout.idle
+    idle_only = [s for s in layout.slots if set(s.qudits) <= idle]
     rewound = tuple(GateSlot(s.qudits, s.gate_id, dagger=True) for s in reversed(idle_only))
-    return GateLayout(shape=layout.shape, slots=layout.slots + rewound, idle=layout.idle)
+    return GateLayout(shape=layout.shape, slots=layout.slots + rewound)
 
 
 def protocol_layout(shape: CircuitShape, target: RecycleTarget) -> GateLayout:

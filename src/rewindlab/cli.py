@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -196,7 +197,7 @@ def _route_options(sampled: bool):
         click.option("--target", default="1", show_default=True, help="i | prefix:k | pair:i,j"),
         click.option("--alpha", type=float, default=None, help="channel statistic alpha (with --beta)"),
         click.option("--beta", type=float, default=None),
-        click.option("--channel", "channel_path", type=click.Path(exists=True), default=None, help="Kraus channel JSON file"),
+        click.option("--channel", "channel_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Kraus channel JSON file"),
     ]
     if sampled:
         options += [
@@ -223,7 +224,7 @@ def main():
 @click.option("--q", "q", type=int, default=2, show_default=True)
 @click.option("--n", "n", type=int, default=None)
 @click.option("--m", "m", type=int, default=1, show_default=True)
-@click.option("--spec", "spec_path", type=click.Path(exists=True), default=None, help="JSON circuit description {family, n, m, q, target}")
+@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON circuit description {family, n, m, q, target}")
 @click.option("--method", default="closed", show_default=True, help=f"comma list of {','.join(ROUTES)}")
 def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, spec_path, method):
     """Print one row per requested method."""
@@ -267,7 +268,7 @@ def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, 
 @click.option("--n", "ns", required=True, help="range a:b or comma list")
 @click.option("--m", "ms", default="1", show_default=True, help="range a:b or comma list")
 @click.option("--method", default="closed", show_default=True, help=f"comma list of {','.join(ROUTES)}")
-@click.option("--output", type=click.Path(), required=True)
+@click.option("--output", type=click.Path(dir_okay=False), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, method, output, fmt):
     """Write rows family,q,n,m,target,method,value,stderr,seed over a grid.
@@ -289,6 +290,8 @@ def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, 
         q_list, n_list, m_list = parse_range(qs), parse_range(ns), parse_range(ms)
         if not q_list or not n_list or not m_list:
             raise click.UsageError("empty sweep ranges")
+        if not os.path.isdir(os.path.dirname(output) or "."):
+            raise click.UsageError(f"--output {output}: its directory does not exist")
     except (ValueError, RewindlabError) as exc:
         raise click.UsageError(str(exc))
     methods = _parse_methods(method)
@@ -380,7 +383,7 @@ def paths(start, end, s, t, method):
 
 
 @main.command("noise-stats")
-@click.option("--channel", "channel_path", type=click.Path(exists=True), required=True)
+@click.option("--channel", "channel_path", type=click.Path(exists=True, dir_okay=False), required=True)
 def noise_stats(channel_path):
     """Print alpha, beta and the recycled-boundary overlaps of a channel."""
     stats = _channel_stats(_read_channel(channel_path))

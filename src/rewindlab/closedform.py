@@ -1,4 +1,4 @@
-"""Closed-form fidelity and correlation expressions.
+"""Closed-form fidelity expressions.
 
 Noiseless convolutional formulas are exact rationals in q.  The hybrid and
 deep-local families evaluate a triple sum: an overall geometric weight per
@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from rewindlab.circuits import RecycleTarget
-from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError, UnsupportedRegimeError
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError
 from rewindlab.pathcount import _relaxed
 from rewindlab.result import FidelityResult
 
@@ -67,11 +67,8 @@ def conv_fidelity(q: int, n: int, target: RecycleTarget) -> FidelityResult:
         value = 1 - Fraction(q - 1, q) * lam ** (n - i)
     elif target.kind == "prefix":
         k = target.indices[0]
-        if k == 1:
-            value = 1 - Fraction(q - 1, q) * lam ** (n - 2)
-        else:
-            inner = 1 + Fraction((q - 1) ** 2, q) * Fraction(q, q * q + 1) ** (k - 2)
-            value = 1 - lam ** (n - k) * (1 - Fraction(1, q * (q * q - q + 1)) * inner)
+        inner = 1 + Fraction((q - 1) ** 2, q) * Fraction(q, q * q + 1) ** (k - 2)
+        value = 1 - lam ** (n - k) * (1 - Fraction(1, q * (q * q - q + 1)) * inner)
     else:  # pair; target.validate refuses every other kind
         i, j = target.indices
         if (i, j) == (2, 1):
@@ -79,16 +76,6 @@ def conv_fidelity(q: int, n: int, target: RecycleTarget) -> FidelityResult:
             return FidelityResult(value=conv_fidelity(q, n, RecycleTarget.prefix(2)).value, method="closed")
         j = max(j, 2)
         value = 1 - Fraction(q - 1, q) * lam ** (n - i) * (1 + Fraction(1, q) * lam ** (i - j))
-    return FidelityResult(value=value, method="closed")
-
-
-def conv_correlation(q: int, n: int, i: int, j: int) -> FidelityResult:
-    """Connected correlation F_ij - F_i F_j of two recycled qudits."""
-    if not (n > i > j >= 1):
-        raise InvalidTargetError("correlation needs n > i > j >= 1")
-    lam = _lam(q)
-    j = max(j, 2)
-    value = Fraction(q - 1, q) ** 2 * lam ** (n - j) * (1 - lam ** (n - i))
     return FidelityResult(value=value, method="closed")
 
 
@@ -168,7 +155,7 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
     (1+q^2)/q^2.  All n+m-3 entry points share one backward touch
     recursion, O(m^2 + (n+m) m) segment counts in all, so no size is
     refused.  Valid for every n >= 3; at n = 3 the band is the line y = x
-    and the sum equals the printed tower :func:`hybrid_n3` exactly.
+    and the sum equals the printed tower 1/q + (q-1)/q (1/(1+q^2))^m exactly.
 
     With w = q/(q^2+1) and lam = q^2/(q^2+1), an entry on the sweep axis
     weighs w^E q^(n-3) with E = n+2m-2-2e, one on the first-gate axis
@@ -188,39 +175,6 @@ def hybrid_general(q: int, n: int, m: int) -> Fraction:
         power = n + 2 * m - 4 - k
         terms.append((2 * power - 2 * m, power, numerator))
     return _weighted_sum(q, terms, scale)
-
-
-def hybrid_special(q: int, n: int, m: int) -> Fraction:
-    """Compact closed forms for m = 1, 2, 3 (any n >= m + 3).
-
-    The m = 3 bracket carries (n+2)/q^2 as its second term; the general
-    machinery and the exact twirl both confirm that coefficient (a leading
-    1/q^2 without the n-dependence does not reproduce either).
-    """
-    lam = _lam(q)
-    head = Fraction(q - 1, q)
-    if m == 1:
-        return 1 - head * lam ** (n - 2)
-    if m == 2:
-        return 1 - head * lam**n * (1 + Fraction(n, q**2) + Fraction(2, q**4))
-    if m == 3:
-        bracket = (
-            1
-            + Fraction(n + 2, q**2)
-            + Fraction((1 + n) * (2 + n), 2 * q**4)
-            + Fraction(2 * (2 + n), q**6)
-            + Fraction(3, q**8)
-        )
-        return 1 - head * lam ** (n + 2) * bracket
-    raise UnsupportedRegimeError(f"no printed special form for m={m}")
-
-
-def hybrid_n3(q: int, m: int) -> Fraction:
-    """Three-qudit tower in its printed form, F = 1/q + (q-1)/q (1/(1+q^2))^m.
-
-    :func:`hybrid_general` at n = 3 equals it exactly.
-    """
-    return Fraction(1, q) + Fraction(q - 1, q) * Fraction(1, 1 + q * q) ** m
 
 
 def hybrid_fidelity(q: int, n: int, m: int) -> FidelityResult:
@@ -264,13 +218,6 @@ def noisy_lambda2(q: int, alpha: float, beta: float) -> float:
     return alpha * q * q * (beta * q * q - 1) / (q**4 - 1)
 
 
-def noisy_sup_fidelity(q: int, alpha: float, beta: float) -> float:
-    """n -> infinity limit of the first-qudit fidelity, undressed boundary."""
-    num = (1 - alpha * beta) * q**3 + alpha * q * q - 1
-    den = (1 - alpha * beta) * q**4 + alpha * q * q - 1
-    return num / den
-
-
 def noisy_conv_fidelity(
     q: int,
     n: int,
@@ -296,8 +243,9 @@ def noisy_conv_fidelity(
     keeps the noiseless n - i convention (recycling qudit 1 and 2
     coincide); the twirl oracle rules out the variant with one extra power
     of lam2.  With an undressed boundary, r1 = rs = 1, this reduces to
-    :func:`noisy_sup_fidelity` - (q-1)/q (alpha q^2 - 1)/D lam2^k with
-    D = (1 - alpha beta) q^4 + alpha q^2 - 1.
+    F_inf - (q-1)/q (alpha q^2 - 1)/D lam2^k, where
+    D = (1 - alpha beta) q^4 + alpha q^2 - 1 and the n -> infinity limit
+    is F_inf = ((1 - alpha beta) q^3 + alpha q^2 - 1) / D.
     """
     if n < 3:
         raise InvalidShapeError("convolutional formulas need n >= 3")
@@ -318,21 +266,4 @@ def noisy_conv_fidelity(
     r1, rs = recycled_boundary
     k = n - max(target.indices[0], 2)
     value = (r1 * (a0 - lam2) + rs * a1 - lam2**k * (r1 * (a0 - 1) + rs * a1)) / (q * (1 - lam2))
-    return FidelityResult(value=value, method="closed")
-
-
-def noisy_conv_correlation_limit(q: int, alpha: float, gap: int) -> FidelityResult:
-    """n -> infinity connected correlation at beta = 1, distance i - j = gap.
-
-        (1-alpha) q^2 (alpha q^2 - 1) / ((q+1)^2 ((1-alpha) q^2 + 1)^2)
-            * (alpha q^2 / (q^2 + 1))^gap
-
-    The (q+1)^2 factor is fixed by the transfer-matrix limit itself (a
-    (q^2+1) there misses the true prefactor by (q+1)^2/(q^2+1) at every
-    alpha); the geometric decay rate alpha q^2/(q^2+1) is unaffected.
-    """
-    if gap < 1:
-        raise InvalidTargetError("gap must be >= 1")
-    pref = (1 - alpha) * q * q * (alpha * q * q - 1) / ((q + 1) ** 2 * ((1 - alpha) * q * q + 1) ** 2)
-    value = pref * (alpha * q * q / (q * q + 1)) ** gap
     return FidelityResult(value=value, method="closed")

@@ -9,10 +9,6 @@ class InvalidShapeError(RewindlabError):
     """Circuit shape violates a family invariant (sizes, parity)."""
 
 
-class TargetNotIdleError(RewindlabError):
-    """Recycle target includes a qudit that is not idle."""
-
-
 class InvalidTargetError(RewindlabError):
     """Recycle target indices are out of range for the circuit."""
 

@@ -36,6 +36,8 @@ class KrausChannel:
     arity: int = 1
 
     def __post_init__(self):
+        if type(self.arity) is not int or self.arity not in (1, 2):  # a bool is no arity
+            raise InvalidParameterError(f"arity {self.arity!r} is not 1 or 2 (the qudits a channel acts on)")
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
         object.__setattr__(self, "operators", ops)
         dims = {e.shape for e in ops}

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import InvalidParameterError, TargetNotIdleError, TooLargeError
+from rewindlab.errors import InvalidParameterError, TooLargeError
 from rewindlab.parallel import map_chunks
 from rewindlab.result import FidelityResult
 
@@ -250,8 +250,6 @@ def exact_twirl_fidelity(
             f"folded vector over {width} live qudits, q^(4w) = {q}^{4 * width}, exceeds cap {MAX_TWIRL_ELEMENTS}"
         )
     targeted = target.qudits(n)
-    if not targeted <= layout.idle:
-        raise TargetNotIdleError(f"target {sorted(targeted)} not idle")
     if channel is not None:
         check_channel_dim(channel, q)
 

@@ -18,11 +18,3 @@ class FidelityResult:
     value: Fraction | float
     method: str
     stderr: float | None = None
-
-    def __str__(self) -> str:
-        if isinstance(self.value, Fraction):
-            decimal = f"{float(self.value):.15g}"
-            return f"{self.method}: {self.value} = {decimal}"
-        if self.stderr is not None:
-            return f"{self.method}: {self.value:.15g} +/- {self.stderr:.3g}"
-        return f"{self.method}: {self.value:.15g}"

@@ -15,16 +15,7 @@ import numpy as np
 import pytest
 
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
-from rewindlab.closedform import (
-    conv_correlation,
-    conv_fidelity,
-    hybrid_general,
-    hybrid_n3,
-    hybrid_special,
-    local_fidelity,
-    noisy_conv_correlation_limit,
-    noisy_conv_fidelity,
-)
+from rewindlab.closedform import conv_fidelity, hybrid_general, local_fidelity, noisy_conv_fidelity
 from rewindlab.noise import channel_stats, depolarizing, identity_channel
 from rewindlab.oracle import SeededRng, exact_twirl_fidelity, mc_average_fidelity
 from rewindlab.pathcount import BandConstraint, count_paths_dp, count_paths_reflection, count_paths_trig
@@ -35,6 +26,8 @@ from rewindlab.statmech import (
     single_wall_fidelity,
     transfer_fidelity,
 )
+
+from printed_forms import conv_correlation, hybrid_n3, hybrid_special, noisy_conv_correlation_limit
 
 TWIRL_TOL = 1e-9
 

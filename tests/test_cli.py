@@ -314,6 +314,11 @@ CHANNEL_FILES = {
     "ill_shaped_operators": ('{"operators": [[1, 2]]}', 1),
     "non_square_operators": ('{"operators": [[[[1, 0], [0, 0]]]]}', 1),
     "not_trace_preserving": (KrausChannel((2 * np.eye(2),)).to_json(), 2),
+    # an arity the routes cannot read: zero, negative, not an integer, or three qudits
+    "arity_zero": (json.dumps({"arity": 0, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}), 1),
+    "arity_negative": (json.dumps({"arity": -1, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}), 1),
+    "arity_not_integer": (json.dumps({"arity": "x", "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}), 1),
+    "arity_three": (json.dumps({"arity": 3, "operators": [[[[float(r == c), 0] for c in range(8)] for r in range(8)]]}), 1),
 }
 
 
@@ -334,6 +339,46 @@ def test_bad_channel_file_exits_cleanly(runner, tmp_path, command, kind):
     assert isinstance(result.exception, SystemExit), result.exception
     expected = "not trace preserving" if code == 2 else "malformed Kraus operators"
     assert expected in result.output
+
+
+def _bad_path_case(tmp_path, case):
+    """(args, message) of a command line whose one path option is unusable; the rest is valid."""
+    channel = tmp_path / "depol.json"
+    channel.write_text(depolarizing(2, 0.04).to_json())
+    folder, missing = str(tmp_path), str(tmp_path / "missing" / "out.csv")
+    sweep = ["sweep", "--n", "3:5", "--method", "closed,twirl"]
+    is_dir = f"'{folder}' is a directory"
+    return {
+        "fidelity --spec": (["fidelity", "--spec", folder], is_dir),
+        "fidelity --channel": (["fidelity", "--n", "3", "--channel", folder], is_dir),
+        "sweep --channel": (sweep + ["--output", str(tmp_path / "out.csv"), "--channel", folder], is_dir),
+        "compare --channel": (["compare", "--n", "3", "--channel", folder], is_dir),
+        "noise-stats --channel": (["noise-stats", "--channel", folder], is_dir),
+        "sweep --output directory": (sweep + ["--channel", str(channel), "--output", folder], is_dir),
+        "sweep --output in missing directory": (sweep + ["--channel", str(channel), "--output", missing], f"--output {missing}"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "fidelity --spec",
+        "fidelity --channel",
+        "sweep --channel",
+        "compare --channel",
+        "noise-stats --channel",
+        "sweep --output directory",
+        "sweep --output in missing directory",
+    ],
+)
+def test_unusable_path_option_is_usage_error(runner, tmp_path, case):
+    args, message = _bad_path_case(tmp_path, case)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+    assert "wrote" not in result.output  # refused before any grid point runs
+    assert [p.name for p in tmp_path.iterdir()] == ["depol.json"]  # and no file written
 
 
 def _rows(path):

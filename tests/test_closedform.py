@@ -8,23 +8,20 @@ from hypothesis import given, settings, strategies as st
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 from rewindlab.closedform import (
     _seg_count,
-    conv_correlation,
     conv_fidelity,
     hybrid_fidelity,
     hybrid_general,
-    hybrid_n3,
-    hybrid_special,
     local_deep,
     local_fidelity,
-    noisy_conv_correlation_limit,
     noisy_conv_fidelity,
     noisy_lambda2,
-    noisy_sup_fidelity,
 )
 from rewindlab.errors import InvalidParameterError, InvalidShapeError, InvalidTargetError
 from rewindlab.noise import KrausChannel, amplitude_damping, channel_stats, dephasing, depolarizing, random_channel
 from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import lattice_from_circuit, partition_sum_exhaustive, transfer_fidelity
+
+from printed_forms import conv_correlation, hybrid_n3, hybrid_special, noisy_conv_correlation_limit, noisy_sup_fidelity
 
 
 def lattice_value(family, n, m, q, target=None):

@@ -343,7 +343,7 @@ def test_twirl_places_joining_qudit_in_index_order():
         slots = tuple(GateSlot((a, a + 1), gid) for gid, a in enumerate(range(n - 1, 0, -1)))
         slots += tuple(GateSlot((a, a + 1), gid + n - 1) for gid, a in enumerate(range(1, n)))
         for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
-            layout = apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target)
+            layout = apply_rewinding(GateLayout(shape, slots), target)
             channel = _channel(channel_name)
             got = exact_twirl_fidelity(layout, target, channel=channel).value
             assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), (q, n, str(target))
@@ -475,7 +475,7 @@ def _right_to_left_layouts():
         shape = CircuitShape(Family.CONVOLUTIONAL, n, 1, q)
         slots = tuple(GateSlot(pair, gid) for gid, pair in enumerate(forward))
         for target in (RecycleTarget.single(1), RecycleTarget.pair(n - 1, 1)):
-            yield q, n, apply_rewinding(GateLayout(shape, slots, frozenset(range(1, n))), target), target
+            yield q, n, apply_rewinding(GateLayout(shape, slots), target), target
 
 
 def test_pure_mc_right_to_left_sweeps_and_untouched_qudit():
