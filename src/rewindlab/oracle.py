@@ -27,9 +27,13 @@ starts as |0><0|, the projector block as vec(|0><0|) on recycled qudits and
 vec(I) elsewhere; the final contraction pairs c1-c4 and c2-c3 on every
 qudit.  Both are products over qudits, so a qudit joins the vector at its
 first gate, its initial block multiplied in as an outer product, and is
-capped off right after its last gate.  The vector holds only the live
-qudits, in index order: q^(4w) elements for the peak live width w, which
-is 2 for a convolutional sweep at every n.  Each rewound gate contributes
+capped off right after its last gate.  Gates on disjoint qudits commute,
+so the twirl contracts them in a narrow order (:func:`_narrow_order`):
+each qudit keeps its own gates in layout order, and the order keeps few
+qudits live at once.  The vector holds only the live qudits of that
+order, in index order: q^(4w) elements for the peak live width w, which
+is 2 for a convolutional sweep and m + 1 for m hybrid sweeps at every n.
+Each rewound gate contributes
 
     sum_{sigma,tau} Wg(sigma tau^-1, d) |sigma>><<tau|      (d = q^2)
 
@@ -37,9 +41,11 @@ applied jointly to all four copies of its two qudits, which is the Haar
 average of U x U* x U x U*.  Non-rewound gates contribute the first moment
 (1/d)|Phi>><<Phi| on the (c1, c2) copies alone.
 
-Gates act on adjacent qudits (a, a+1), adjacent among the live ones too,
-so the folded vector is kept flat and each gate is applied on its
-(pre, q^8, post) view, pre = q^(4p) for p the live qudits before a.
+A gate (a, b) must act on qudits adjacent among the live ones: b follows
+a in the live index order, and no qudit between them is live.  So the
+folded vector is kept flat and each gate is applied on its
+(pre, q^8, post) view, pre = q^(4p) for p the live qudits before a; a
+gate whose qudits are not so adjacent is refused.
 A second moment has rank 2: one matmul projects the q^8 block onto the two
 pairing states and one writes the Weingarten-mixed pair back.  A first
 moment sums the (c1, c2) diagonals and writes one outer product.  Channels
@@ -59,8 +65,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from rewindlab.circuits import GateLayout, RecycleTarget
-from rewindlab.errors import InvalidParameterError, TooLargeError
+from rewindlab.circuits import GateLayout, GateSlot, RecycleTarget
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, TooLargeError
 from rewindlab.parallel import map_chunks
 from rewindlab.result import FidelityResult
 
@@ -68,8 +74,9 @@ if TYPE_CHECKING:
     from rewindlab.noise import KrausChannel
 
 # Memory cap for the folded vector: q^(4w) elements for the peak live
-# width w (w <= 6 at q=2, w <= 4 at q=3).  Conv sweeps have w = 2 at any
-# n; hybrid m >= 2 reaches w = n, local w = n - 1 or n.
+# width w of the narrow order (w <= 6 at q=2, w <= 4 at q=3).  At any n,
+# conv sweeps have w = 2 and hybrid w = m + 1 (at most n); deep local
+# brickwork keeps w = n - 1 or n (n=8: w = 4 at m=2, 8 at m=8).
 MAX_TWIRL_ELEMENTS = 1 << 26
 
 # Largest Monte-Carlo sample vector: D^n elements, D = q for a state
@@ -222,6 +229,46 @@ def _apply_first_moment(v: np.ndarray, first: np.ndarray, q: int, pre: int) -> n
     return (first[None, :, None, :, None] * rest[:, None, :, None, :]).reshape(-1)
 
 
+def _narrow_order(slots: tuple[GateSlot, ...]) -> list[GateSlot]:
+    """A reordering of ``slots`` that keeps few qudits live at once.
+
+    Gates on disjoint qudits commute, so any order in which every qudit
+    sees its own gates in layout order is the same circuit.  This one is
+    greedy: among the ready gates, those whose earlier gates on both their
+    qudits are taken, it takes the gate that adds the fewest live qudits
+    net of those it closes, the lower layout index on a tie.  Whether a
+    gate opens or closes a qudit does not depend on the order, so each
+    gate's net change is fixed up front, and each step scans only the
+    ready set.
+    """
+    net = [0] * len(slots)
+    blocked = [0] * len(slots)  # the gate's earlier gates on its qudits not yet taken
+    after: list[list[int]] = [[] for _ in slots]  # the next gate on each of its qudits
+    last: dict[int, int] = {}
+    for k, slot in enumerate(slots):
+        for a in slot.qudits:
+            if a in last:
+                after[last[a]].append(k)
+                blocked[k] += 1
+            else:
+                net[k] += 1
+            last[a] = k
+    for k in last.values():
+        net[k] -= 1
+    ready = {(net[k], k) for k, count in enumerate(blocked) if not count}
+    order = []
+    while ready:
+        pick = min(ready)
+        ready.remove(pick)
+        k = pick[1]
+        order.append(slots[k])
+        for j in after[k]:
+            blocked[j] -= 1
+            if not blocked[j]:
+                ready.add((net[j], j))
+    return order
+
+
 def exact_twirl_fidelity(
     layout: GateLayout,
     target: RecycleTarget,
@@ -229,11 +276,14 @@ def exact_twirl_fidelity(
 ) -> FidelityResult:
     """Haar-averaged fidelity by exact moment contraction (no sampling).
 
-    The folded vector holds only the live qudits, those between their first
+    Gates are contracted in the narrow order of :func:`_narrow_order`.  The
+    folded vector holds only the live qudits, those between their first
     and last gate; ``MAX_TWIRL_ELEMENTS`` caps it at its widest, q^(4w).
+    A gate whose two qudits are not adjacent, in index order, among the
+    live qudits raises :class:`InvalidShapeError`.
     """
     n, q = layout.n, layout.q
-    slots = layout.forward_slots
+    slots = _narrow_order(layout.forward_slots)
     first_gate: dict[int, int] = {}
     last_gate: dict[int, int] = {}
     for k, slot in enumerate(slots):
@@ -270,12 +320,13 @@ def exact_twirl_fidelity(
                 live.insert(pos, a)
                 block = np.multiply.outer(zero2, zero2 if a in targeted else np.eye(q)).reshape(-1, 1)
                 v = (v.reshape(q ** (4 * pos), 1, -1) * block).reshape(-1)
-        # Gates act on (a, a+1): no qudit sorts between them, so they are
-        # adjacent among the live ones.  For a rewound gate the partner
-        # slot's channel acts below the node on the projector-side copies
-        # (adjoint channel), the forward slot's channel above it on the
-        # rho-side copies.
-        pre = q ** (4 * live.index(slot.qudits[0]))
+        # For a rewound gate the partner slot's channel acts below the node
+        # on the projector-side copies (adjoint channel), the forward slot's
+        # channel above it on the rho-side copies.
+        pos = live.index(slot.qudits[0])
+        if live.index(slot.qudits[1]) != pos + 1:
+            raise InvalidShapeError(f"gate on qudits {slot.qudits} is not adjacent among the live qudits {live}")
+        pre = q ** (4 * pos)
         if slot.gate_id in rewound:
             v = _apply(up, _apply(down, v, pre), pre)
         else:

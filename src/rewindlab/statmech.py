@@ -65,6 +65,9 @@ from rewindlab.result import FidelityResult
 # Largest frontier partition_sum_exhaustive builds; see its docstring.
 FRONTIER_STATE_CAP = 1 << 16
 
+# Most configurations enumerate_support lists before it refuses.
+SUPPORT_CAP = 1 << 16
+
 
 class S2Spin(IntEnum):
     ONE = 0
@@ -310,7 +313,8 @@ def enumerate_support(lattice: DiagramLattice):
     Nodes are assigned from the last (topmost) down so each node's upward
     legs are already resolved when its local factor is checked; a zero
     factor prunes the whole branch.  Every surviving configuration is a
-    single-domain-wall state.
+    single-domain-wall state.  A support of more than ``SUPPORT_CAP``
+    configurations raises :class:`TooLargeError` as the list would pass it.
     """
     rule = TrivalentRule(lattice.q)
     tables = [rule.table(node) for node in lattice.nodes]
@@ -326,6 +330,8 @@ def enumerate_support(lattice: DiagramLattice):
 
     def dfs(pos: int, weight: Fraction):
         if pos == len(order):
+            if len(found) == SUPPORT_CAP:
+                raise TooLargeError(f"single-wall support of more than {SUPPORT_CAP} configurations exceeds the cap")
             found.append((tuple(spins), weight))
             return
         i = order[pos]

@@ -531,7 +531,7 @@ def test_compare_names_skipped_routes_on_stderr(runner, tmp_path):
     path.write_text(amplitude_damping(2, 0.05).to_json())
     result = runner.invoke(main, ["compare", "--family", "hybrid", "--n", "4", "--m", "2", "--channel", str(path)])
     assert result.exit_code == 0, result.output
-    assert result.stdout == "sum: 0.575715641045374\ntwirl: 0.575715641045373\nmax pairwise deviation: 8.88e-16\n"
+    assert result.stdout == "sum: 0.575715641045374\ntwirl: 0.575715641045373\nmax pairwise deviation: 9.99e-16\n"
     skipped = [line.split(": ", 1) for line in result.stderr.splitlines()]
     assert [route for route, _ in skipped] == ["skipped closed", "skipped wall", "skipped transfer", "skipped mc"]
     assert all(reason for _, reason in skipped)
@@ -546,10 +546,11 @@ def test_compare_twirls_conv_past_six_qudits(runner):
 
 
 def test_twirl_past_its_live_width_cap_exits_2(runner):
-    result = runner.invoke(main, ["fidelity", "--family", "hybrid", "--n", "7", "--m", "2", "--method", "twirl"])
+    # brickwork does not narrow: local n=8 m=8 keeps all eight qudits live
+    result = runner.invoke(main, ["fidelity", "--family", "local", "--n", "8", "--m", "8", "--method", "twirl"])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: twirl:")
-    assert "7 live qudits" in result.stderr
+    assert "8 live qudits" in result.stderr
 
 
 # -- one route table: every answer matches the twirl, every refusal says which route --

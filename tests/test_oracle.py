@@ -13,7 +13,7 @@ from rewindlab.circuits import (
     apply_rewinding,
     protocol_layout,
 )
-from rewindlab.errors import InvalidParameterError, TooLargeError
+from rewindlab.errors import InvalidParameterError, InvalidShapeError, TooLargeError
 from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing, identity_channel, random_channel
 from rewindlab import oracle
 from rewindlab.oracle import (
@@ -110,9 +110,9 @@ def test_twirl_hybrid_tower():
 
 
 def test_twirl_dimension_cap():
-    # two sweeps keep all seven qudits live at once: 2^(4*7) > 2^26
+    # six sweeps keep seven of eight qudits live even in the narrow order: 2^(4*7) > 2^26
     target = RecycleTarget.single(1)
-    layout = protocol_layout(CircuitShape(Family.HYBRID, 7, 2, 2), target)
+    layout = protocol_layout(CircuitShape(Family.HYBRID, 8, 6, 2), target)
     with pytest.raises(TooLargeError, match="7 live qudits"):
         exact_twirl_fidelity(layout, target)
 
@@ -347,6 +347,133 @@ def test_twirl_places_joining_qudit_in_index_order():
             channel = _channel(channel_name)
             got = exact_twirl_fidelity(layout, target, channel=channel).value
             assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), (q, n, str(target))
+
+
+# -- narrow gate order -------------------------------------------------------
+
+
+def _width(slots):
+    """Peak number of qudits between their first and last gate in ``slots``."""
+    first, last = {}, {}
+    for k, slot in enumerate(slots):
+        for a in slot.qudits:
+            first.setdefault(a, k)
+            last[a] = k
+    return max(sum(first[a] <= k <= last[a] for a in first) for k in range(len(slots)))
+
+
+def _adjacent_layouts():
+    """Hand-built layouts of adjacent pairs: right-to-left then left-to-right
+    sweeps, a repeated pair, and pairs far apart."""
+    for n, forward in [
+        (5, [(a, a + 1) for a in range(4, 0, -1)] + [(a, a + 1) for a in range(1, 5)]),
+        (4, [(1, 2), (1, 2), (3, 4), (2, 3), (2, 3), (1, 2)]),
+        (6, [(4, 5), (1, 2), (5, 6), (2, 3), (1, 2), (3, 4)]),
+    ]:
+        shape = CircuitShape(Family.CONVOLUTIONAL, n, 1, 2)
+        yield GateLayout(shape, tuple(GateSlot(pair, gid) for gid, pair in enumerate(forward)))
+
+
+def _family_layouts():
+    for family, n, m in [(Family.CONVOLUTIONAL, 9, 1), (Family.HYBRID, 7, 3), (Family.HYBRID, 4, 6), (Family.LOCAL, 8, 6)]:
+        yield protocol_layout(CircuitShape(family, n, m, 2), RecycleTarget.single(1))
+
+
+def test_narrow_order_is_topological():
+    """Every gate once, and every qudit sees its gates in layout order."""
+    for layout in [*_family_layouts(), *_adjacent_layouts()]:
+        slots = layout.forward_slots
+        order = oracle._narrow_order(slots)
+        assert sorted(order, key=slots.index) == list(slots)
+        for a in range(1, layout.n + 1):
+            assert [s for s in order if a in s.qudits] == [s for s in slots if a in s.qudits], (layout.shape, a)
+
+
+@pytest.mark.parametrize(
+    "family,n,m,time_width,narrow_width",
+    [
+        (Family.CONVOLUTIONAL, 40, 1, 2, 2),
+        (Family.HYBRID, 5, 2, 5, 3),
+        (Family.HYBRID, 60, 5, 60, 6),
+        (Family.HYBRID, 8, 6, 8, 7),
+        (Family.LOCAL, 8, 2, 7, 4),
+        (Family.LOCAL, 8, 8, 8, 8),
+    ],
+)
+def test_narrow_order_widths(family, n, m, time_width, narrow_width):
+    """Hybrid keeps m + 1 qudits live; brickwork narrows only when shallow."""
+    slots = protocol_layout(CircuitShape(family, n, m, 2), RecycleTarget.single(1)).forward_slots
+    assert (_width(slots), _width(oracle._narrow_order(slots))) == (time_width, narrow_width)
+
+
+def test_narrow_order_is_time_order_on_local_n4():
+    for m in (2, 4, 6, 8):
+        slots = protocol_layout(CircuitShape(Family.LOCAL, 4, m, 2), RecycleTarget.single(1)).forward_slots
+        assert tuple(oracle._narrow_order(slots)) == slots
+
+
+@pytest.mark.parametrize("channel_name", ["none", "rand"])
+def test_narrow_twirl_matches_time_order_reference_on_hand_built_layouts(channel_name):
+    """The reference contracts in layout order; the twirl in the narrow one."""
+    channel = _channel(channel_name)
+    for layout in _adjacent_layouts():
+        if layout.n > 5:  # the reference holds all 4n copy axes at once
+            continue
+        target = RecycleTarget.pair(layout.n - 1, 1)
+        layout = apply_rewinding(layout, target)
+        got = exact_twirl_fidelity(layout, target, channel=channel).value
+        assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), layout.slots
+
+
+def _hand_layout(pairs):
+    shape = CircuitShape(Family.CONVOLUTIONAL, 4, 1, 2)
+    return apply_rewinding(GateLayout(shape, tuple(GateSlot(p, gid) for gid, p in enumerate(pairs))), RecycleTarget.single(1))
+
+
+def test_twirl_refuses_gate_not_adjacent_among_live_qudits():
+    """(1, 3) meets qudit 2 live between its qudits.  The generic reference
+    contraction gives 77/125, the value of the lattice sums; applying the
+    gate on the live neighbours (1, 2) gave 0.68."""
+    target = RecycleTarget.single(1)
+    layout = _hand_layout([(1, 2), (1, 3), (2, 3), (3, 4)])
+    assert _reference_twirl(layout, target) == pytest.approx(77 / 125, abs=1e-12)
+    with pytest.raises(InvalidShapeError, match=r"\(1, 3\)"):
+        exact_twirl_fidelity(layout, target)
+
+
+def test_twirl_answers_pair_adjacent_among_live_qudits():
+    """(1, 3) before qudit 2 joins: 1 and 3 are neighbours among the live qudits."""
+    target = RecycleTarget.single(1)
+    layout = _hand_layout([(1, 3), (2, 3), (3, 4)])
+    got = exact_twirl_fidelity(layout, target).value
+    assert got == pytest.approx(17 / 25, abs=1e-12)
+    assert got == pytest.approx(_reference_twirl(layout, target), abs=1e-12)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_narrow_twirl_matches_hybrid_closed_form(q, m):
+    from rewindlab.closedform import hybrid_fidelity
+
+    target = RecycleTarget.single(1)
+    for n in (3, 4, 7, 12, 25, 60):
+        layout = protocol_layout(CircuitShape(Family.HYBRID, n, m, q), target)
+        got = exact_twirl_fidelity(layout, target).value
+        assert got == pytest.approx(float(hybrid_fidelity(q, n, m).value), abs=1e-12), n
+
+
+@pytest.mark.parametrize("n,m", [(12, 3), (16, 4)])
+@pytest.mark.parametrize("channel_name", ["ad", "rand"])
+def test_narrow_twirl_matches_noisy_hybrid_sum(n, m, channel_name):
+    from rewindlab.noise import channel_stats
+    from rewindlab.statmech import TrivalentRule, lattice_from_circuit, partition_sum_exhaustive
+
+    channel = _channel(channel_name)
+    stats = channel_stats(channel)
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.HYBRID, n, m, 2), target)
+    rule = TrivalentRule(2, alpha=stats.alpha, beta=stats.beta, recycled_boundary=stats.recycled_boundary)
+    want = partition_sum_exhaustive(lattice_from_circuit(layout, target), rule).value
+    assert exact_twirl_fidelity(layout, target, channel=channel).value == pytest.approx(want, abs=1e-12)
 
 
 # -- reference density-matrix Monte Carlo ---------------------------------

@@ -172,6 +172,22 @@ def test_frontier_cap(monkeypatch):
         partition_sum_exhaustive(lat)
 
 
+def test_support_cap(monkeypatch):
+    """The support list is refused as it would pass ``SUPPORT_CAP``: hybrid
+    n=14 m=7 has 339 963 single-wall configurations."""
+    lat = make_lattice(Family.HYBRID, 5, 3, 2, RecycleTarget.single(1))
+    size = len(enumerate_support(lat))
+    monkeypatch.setattr(statmech, "SUPPORT_CAP", size)
+    assert len(enumerate_support(lat)) == size
+    monkeypatch.setattr(statmech, "SUPPORT_CAP", size - 1)
+    with pytest.raises(TooLargeError, match=f"more than {size - 1} configurations"):
+        single_wall_fidelity(lat)
+    monkeypatch.undo()
+    lat = make_lattice(Family.HYBRID, 14, 7, 2, RecycleTarget.single(1))
+    with pytest.raises(TooLargeError, match="more than 65536 configurations"):
+        enumerate_support(lat)
+
+
 def test_support_is_upper_right_closed():
     """Nonzero-weight configurations form staircase regions: per sweep a
     contiguous prefix of columns, with prefixes changing by at most one
