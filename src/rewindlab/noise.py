@@ -101,10 +101,15 @@ def channel_stats(channel: KrausChannel) -> ChannelStats:
     q = channel.qudit_dim()
     w = channel.arity
     norm = float(q ** (2 * w))
-    ops = list(channel.operators)
+    ops = np.stack(channel.operators)
 
-    alpha = sum(abs(np.trace(e)) ** 2 for e in ops) / norm
-    beta = sum(abs(np.trace(ek @ ekp)) ** 2 for ek in ops for ekp in ops) / norm
+    # Traces of all operators and of all pair products at once.  The moduli
+    # stay scalar (numpy's vectorised complex abs can differ in the last
+    # bit), summed in the order of the loops over k and k' they replace.
+    traces = np.trace(ops, axis1=1, axis2=2).tolist()
+    pair_traces = np.trace(np.matmul(ops[:, None], ops[None, :]), axis1=2, axis2=3).ravel().tolist()
+    alpha = sum(abs(t) ** 2 for t in traces) / norm
+    beta = sum(abs(t) ** 2 for t in pair_traces) / norm
 
     r_one, r_s = 1.0, 1.0
     if w == 1:

@@ -31,28 +31,36 @@ capped off right after its last gate.  Gates on disjoint qudits commute,
 so the twirl contracts them in a narrow order (:func:`_narrow_order`):
 each qudit keeps its own gates in layout order, and the order keeps few
 qudits live at once.  The vector holds only the live qudits of that
-order, in index order: q^(4w) elements for the peak live width w, which
-is 2 for a convolutional sweep and m + 1 for m hybrid sweeps at every n.
-Each rewound gate contributes
+order, in index order.  Each rewound gate contributes
 
     sum_{sigma,tau} Wg(sigma tau^-1, d) |sigma>><<tau|      (d = q^2)
 
 applied jointly to all four copies of its two qudits, which is the Haar
 average of U x U* x U x U*.  Non-rewound gates contribute the first moment
-(1/d)|Phi>><<Phi| on the (c1, c2) copies alone.
+(1/d)|Phi>><<Phi| on the (c1, c2) copies alone, and their channels act
+there too.  So a qudit that no rewound gate touches (qudit n in every
+family) only ever sees (c1, c2): it carries those, q^2 entries, and its
+(c3, c4) block stays as it started, |0><0| or I, until its cap contracts
+it with the S pairing.  Every other live qudit carries q^4 entries.  The
+vector's size is the product of the live blocks: q^(4w) for w live
+qudits, divided by q^2 for each that carries (c1, c2) alone.  The peak
+live width w is 2 for a convolutional sweep and m + 1 for m hybrid sweeps
+at every n.
 
 A gate (a, b) must act on qudits adjacent among the live ones: b follows
 a in the live index order, and no qudit between them is live.  So the
-folded vector is kept flat and each gate is applied on its
-(pre, q^8, post) view, pre = q^(4p) for p the live qudits before a; a
-gate whose qudits are not so adjacent is refused.
-A second moment has rank 2: one matmul projects the q^8 block onto the two
-pairing states and one writes the Weingarten-mixed pair back.  A first
-moment sums the (c1, c2) diagonals and writes one outer product.  Channels
-act inside the same block, so they are folded into these small per-gate
-maps once and cost no pass over the vector.  Each gate thus reads the
-vector once and writes one new one: the peak is about two folded vectors
-of the peak width.
+folded vector is kept flat and each gate is applied on a view of it,
+pre the product of the block sizes of the live qudits before a; a gate
+whose qudits are not so adjacent is refused.  A rewound gate touches two
+q^4 blocks: on the (pre, q^8, post) view, a second moment has rank 2, one
+matmul projects the q^8 block onto the two pairing states and one writes
+the Weingarten-mixed pair back.  A first moment sums the (c1, c2)
+diagonals on the (pre, q^2, r_a, q^2, rest) view, r_a = q^2 or 1 as a
+carries (c3, c4) or not, and writes one outer product.  Channels act
+inside the same blocks, so they are folded into these small per-gate maps
+once and cost no pass over the vector.  Each gate thus reads the vector
+once and writes one new one: the peak is about two folded vectors of the
+peak size.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from math import prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,10 +81,12 @@ from rewindlab.result import FidelityResult
 if TYPE_CHECKING:
     from rewindlab.noise import KrausChannel
 
-# Memory cap for the folded vector: q^(4w) elements for the peak live
-# width w of the narrow order (w <= 6 at q=2, w <= 4 at q=3).  At any n,
-# conv sweeps have w = 2 and hybrid w = m + 1 (at most n); deep local
-# brickwork keeps w = n - 1 or n (n=8: w = 4 at m=2, 8 at m=8).
+# Memory cap for the folded vector: the largest product of live block
+# sizes in the narrow order, q^4 per live qudit and q^2 for one that no
+# rewound gate touches.  At any n, conv sweeps peak at q^8 and hybrid at
+# q^(4(m + 1)) (w = m + 1 qudits, at most n).  Deep local brickwork keeps
+# w = n - 1 or n, qudit n among them: local n=8 peaks at 2^26 for m = 6
+# (six q^4 blocks and qudit 8) and 2^30 for m = 8.
 MAX_TWIRL_ELEMENTS = 1 << 26
 
 # Largest Monte-Carlo sample vector: D^n elements, D = q for a state
@@ -149,54 +159,37 @@ def check_channel_dim(channel: "KrausChannel", q: int) -> None:
 
 
 def _pair_vectors(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qudit four-copy pairing tensors for the two permutations."""
+    """Per-qudit four-copy pairing states of the two permutations, as (d, d)
+    blocks, d = q^2: rows the (c1, c2) copies, columns the (c3, c4) copies."""
     eye = np.eye(q)
     one = np.einsum("ij,kl->ijkl", eye, eye)  # pairs (c1,c2)(c3,c4)
     s = np.einsum("il,jk->ijkl", eye, eye)  # pairs (c1,c4)(c2,c3)
-    return one, s
+    return one.reshape(q * q, q * q), s.reshape(q * q, q * q)
 
 
-def _pair_superops(channel: "KrausChannel | None", q: int):
-    """(rho-side, proj-side) maps of the channel on one gate's qudit pair.
+def _copy_maps(channel: "KrausChannel", q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho-side, proj-side) maps of the channel on (ket, bra) copy pairs.
 
     rho side: rho -> sum_k E rho E^dag; proj side is the adjoint channel
-    O -> sum_k E^dag O E.  Each is a (d, d, d, d) tensor, d = q^2, with legs
-    (a_out, b_out, a_in, b_in), each leg the (ket, bra) copy pair of one
-    qudit; an arity-1 channel acts on both qudits.  No channel gives the
-    identity.  Tensors are real whenever possible (e.g. Pauli channels) so
-    the float64 path can be kept.
+    O -> sum_k E^dag O E.  An arity-1 channel gives one (d, d) matrix,
+    d = q^2, that acts on each qudit's copy pair alone; an arity-2 channel
+    a (d, d, d, d) pair tensor with legs (a_out, b_out, a_in, b_in).  Maps
+    are real whenever possible (e.g. Pauli channels) so the float64 path
+    can be kept.
     """
     d = q * q
-    if channel is None:
-        eye = np.eye(d * d).reshape(d, d, d, d)
-        return eye, eye
-    dim = channel.dim
-    sup = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for e in channel.operators:
-        sup += np.einsum("ik,jl->ijkl", e, e.conj())
+    ops = np.stack(channel.operators)
+    sup = np.einsum("kac,kbd->abcd", ops, ops.conj())  # ((ket, bra) out, (ket, bra) in)
+    sup = sup.real if np.abs(sup.imag).max() < 1e-14 else sup
     # the adjoint channel's tensor is the conjugate with in and out legs swapped
-    adj = np.ascontiguousarray(sup.transpose(2, 3, 0, 1).conj())
-
-    def pair(t):
-        t = t.real if np.abs(t.imag).max() < 1e-14 else t
-        if channel.arity == 2:
-            # legs (ket_ab, bra_ab) out and in -> ((ket_a, bra_a), (ket_b, bra_b))
-            return t.reshape((q,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d, d, d)
-        m = t.reshape(d, d)
-        return np.einsum("AC,BD->ABCD", m, m)
-
-    return pair(sup), pair(adj)
+    adj = sup.transpose(2, 3, 0, 1).conj()
+    if channel.arity == 1:
+        return sup.reshape(d, d), adj.reshape(d, d)
+    # legs (ket_ab, bra_ab) out and in -> ((ket_a, bra_a), (ket_b, bra_b))
+    return tuple(t.reshape((q,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d, d, d) for t in (sup, adj))
 
 
-def _dress(vectors: np.ndarray, sup: np.ndarray, side: int) -> np.ndarray:
-    """Apply a pair map to the rho-side (side 0: c1, c2) or proj-side
-    (side 2: c3, c4) copies of stacked q^8 pair-block vectors."""
-    d = sup.shape[0]
-    spec = "ABCD,kCxDy->kAxBy" if side == 0 else "ABCD,kxCyD->kxAyB"
-    return np.einsum(spec, sup, vectors.reshape(-1, d, d, d, d)).reshape(vectors.shape)
-
-
-def _gate_maps(q: int, rho_sup: np.ndarray, adj_sup: np.ndarray):
+def _gate_maps(q: int, channel: "KrausChannel | None"):
     """Per-gate maps with the slot channels folded in.
 
     A rewound gate is K_rho P^T W P K_adj on its q^8 pair block: P (2 x q^8)
@@ -204,16 +197,46 @@ def _gate_maps(q: int, rho_sup: np.ndarray, adj_sup: np.ndarray):
     the Weingarten weights.  Returned as ``down`` = P K_adj and ``up`` =
     K_rho P^T W.  A gate applied once is (1/d) K_rho |Phi Phi>><<Phi Phi| on
     the (c1, c2) copies; ``first`` = K_rho|Phi Phi>> / d as a (d, d) matrix.
+    Without a channel K is the identity; an arity-1 channel dresses each
+    qudit's block by its own (d, d) map, an arity-2 one the pair block.
     """
     d = q * q
     one, s = _pair_vectors(q)
-    proj = np.stack([np.multiply.outer(one, one).ravel(), np.multiply.outer(s, s).ravel()])
-    wg_e, wg_t = weingarten_pair(d)
-    mix = proj.T @ np.array([[wg_e, wg_t], [wg_t, wg_e]])
-    down = _dress(proj, adj_sup.transpose(2, 3, 0, 1), 2)
-    up = _dress(mix.T, rho_sup, 0).T
     phi = np.eye(q).ravel()
-    return down, up, np.einsum("ABCD,C,D->AB", rho_sup, phi, phi) / d
+    if channel is None:
+        rows = cols = [np.multiply.outer(t, t) for t in (one, s)]
+        first = np.multiply.outer(phi, phi)
+    elif channel.arity == 1:
+        rho, adj = _copy_maps(channel, q)
+        rows = [np.multiply.outer(t @ adj, t @ adj) for t in (one, s)]
+        cols = [np.multiply.outer(rho @ t, rho @ t) for t in (one, s)]
+        first = np.multiply.outer(rho @ phi, rho @ phi)
+    else:
+        # pair blocks have legs (a_rho, a_proj, b_rho, b_proj)
+        rho, adj = _copy_maps(channel, q)
+        pairs = [np.multiply.outer(t, t) for t in (one, s)]
+        rows = [np.tensordot(p, adj, axes=([1, 3], [0, 1])).transpose(0, 2, 1, 3) for p in pairs]
+        cols = [np.tensordot(rho, p, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3) for p in pairs]
+        first = rho.reshape(d * d, d * d) @ np.multiply.outer(phi, phi).ravel()
+    wg_e, wg_t = weingarten_pair(d)
+    down = np.stack([r.ravel() for r in rows])
+    up = np.stack([c.ravel() for c in cols], axis=1) @ np.array([[wg_e, wg_t], [wg_t, wg_e]])
+    return down, up, first.reshape(d, d) / d
+
+
+def _join(v: np.ndarray, pre: int, q: int, full: bool, targeted: bool) -> np.ndarray:
+    """``v`` with a joining qudit's initial block between its first ``pre``
+    entries' axis and the rest.
+
+    The block is |0><0| on (c1, c2), times |0><0| (targeted) or I on
+    (c3, c4) if the qudit carries them.  Its entries are 0 or 1, so the new
+    vector is zeros with ``v`` copied to the q or fewer unit entries.
+    """
+    units = range(0, q * q, q + 1) if full and not targeted else [0]
+    out = np.zeros((pre, q**4 if full else q * q, v.size // pre), dtype=v.dtype)
+    for i in units:
+        out[:, i] = v.reshape(pre, -1)
+    return out.reshape(-1)
 
 
 def _apply(mat: np.ndarray, v: np.ndarray, pre: int) -> np.ndarray:
@@ -221,12 +244,26 @@ def _apply(mat: np.ndarray, v: np.ndarray, pre: int) -> np.ndarray:
     return np.matmul(mat, v.reshape(pre, mat.shape[1], -1)).reshape(-1)
 
 
-def _apply_first_moment(v: np.ndarray, first: np.ndarray, q: int, pre: int) -> np.ndarray:
-    """Sum the (c1, c2) diagonals of a qudit pair, write ``first`` in their place."""
+def _apply_first_moment(v: np.ndarray, first: np.ndarray, q: int, pre: int, r_a: int) -> np.ndarray:
+    """Sum the (c1, c2) diagonals of a qudit pair, write ``first`` in their place.
+
+    ``v`` is viewed as (pre, q^2, r_a, q^2, rest): the first qudit's (c1, c2),
+    its (c3, c4) if it carries them (r_a = q^2, else 1), then the second
+    qudit's (c1, c2).  The outer product of ``first`` with the traced
+    (pre, r_a, rest) block is one batched matmul of rank-1 products, over
+    (pre, q^2) when rest is 1 (the second qudit is qudit n in every family),
+    else over (pre, q^2, r_a); unlike a broadcast product, it allocates
+    nothing beyond its output.
+    """
     d = q * q
-    diag = (slice(None), slice(None, None, q + 1), slice(None), slice(None, None, q + 1))
-    rest = v.reshape(pre, d, d, d, -1)[diag].sum(axis=(1, 3))
-    return (first[None, :, None, :, None] * rest[:, None, :, None, :]).reshape(-1)
+    x = v.reshape(pre, d, r_a, d, -1)
+    diag = range(0, d, q + 1)
+    traced = sum(x[:, i, :, j] for i in diag for j in diag)
+    if traced.shape[2] == 1:
+        out = np.matmul(traced.reshape(pre, 1, r_a, 1), first.reshape(1, d, 1, d))
+    else:
+        out = np.matmul(first.reshape(1, d, 1, d, 1), traced[:, None, :, None, :])
+    return out.reshape(-1)
 
 
 def _narrow_order(slots: tuple[GateSlot, ...]) -> list[GateSlot]:
@@ -278,64 +315,82 @@ def exact_twirl_fidelity(
 
     Gates are contracted in the narrow order of :func:`_narrow_order`.  The
     folded vector holds only the live qudits, those between their first
-    and last gate; ``MAX_TWIRL_ELEMENTS`` caps it at its widest, q^(4w).
-    A gate whose two qudits are not adjacent, in index order, among the
-    live qudits raises :class:`InvalidShapeError`.
+    and last gate, each as a block of q^4 elements, or q^2 for a qudit no
+    rewound gate touches; ``MAX_TWIRL_ELEMENTS`` caps the product of the
+    live blocks at its largest.  A gate whose two qudits are not adjacent,
+    in index order, among the live qudits raises :class:`InvalidShapeError`.
     """
     n, q = layout.n, layout.q
     slots = _narrow_order(layout.forward_slots)
-    first_gate: dict[int, int] = {}
-    last_gate: dict[int, int] = {}
+    rewound = layout.rewound_ids
+    first_gate = [-1] * (n + 1)
+    last_gate = [-1] * (n + 1)
     for k, slot in enumerate(slots):
         for a in slot.qudits:
-            first_gate.setdefault(a, k)
+            if first_gate[a] < 0:
+                first_gate[a] = k
             last_gate[a] = k
-    live_change = [0] * (len(slots) + 1)
-    for a, k in first_gate.items():
-        live_change[k] += 1
-        live_change[last_gate[a] + 1] -= 1
-    width = max(accumulate(live_change))
-    if q ** (4 * width) > MAX_TWIRL_ELEMENTS:
+    # A qudit that a rewound gate touches carries all four copies, q^4
+    # entries.  On any other only first moments and their channels act, on
+    # (c1, c2) alone, so it carries those two, q^2 entries, and its (c3, c4)
+    # block stays as it started.
+    size = [q * q] * (n + 1)
+    for slot in slots:
+        if slot.gate_id in rewound:
+            for a in slot.qudits:
+                size[a] = q**4
+    elements, width, peak = 1, 0, (1, 0)
+    for k, slot in enumerate(slots):
+        for a in slot.qudits:
+            if first_gate[a] == k:
+                elements, width = elements * size[a], width + 1
+        peak = max(peak, (elements, width))
+        for a in slot.qudits:
+            if last_gate[a] == k:
+                elements, width = elements // size[a], width - 1
+    if peak[0] > MAX_TWIRL_ELEMENTS:
         raise TooLargeError(
-            f"folded vector over {width} live qudits, q^(4w) = {q}^{4 * width}, exceeds cap {MAX_TWIRL_ELEMENTS}"
+            f"folded vector over {peak[1]} live qudits, {peak[0]} elements, exceeds cap {MAX_TWIRL_ELEMENTS}"
         )
     targeted = target.qudits(n)
     if channel is not None:
         check_channel_dim(channel, q)
 
-    rho_sup, adj_sup = _pair_superops(channel, q)
-    down, up, first = _gate_maps(q, rho_sup, adj_sup)
-    zero2 = np.zeros((q, q))
-    zero2[0, 0] = 1.0
+    down, up, first = _gate_maps(q, channel)
     s_cap = _pair_vectors(q)[1].ravel()
     v = np.ones(1, dtype=np.result_type(down, up, first))
     live: list[int] = []
-    rewound = layout.rewound_ids
+
+    def before(pos: int) -> int:
+        return prod(size[a] for a in live[:pos])
+
     # A qudit no gate touches would contribute <<s|block>> = 1 for either
     # block, so only touched qudits enter the vector.
     for k, slot in enumerate(slots):
         for a in slot.qudits:
             if first_gate[a] == k:
                 pos = bisect_left(live, a)
+                v = _join(v, before(pos), q, size[a] == q**4, a in targeted)
                 live.insert(pos, a)
-                block = np.multiply.outer(zero2, zero2 if a in targeted else np.eye(q)).reshape(-1, 1)
-                v = (v.reshape(q ** (4 * pos), 1, -1) * block).reshape(-1)
         # For a rewound gate the partner slot's channel acts below the node
         # on the projector-side copies (adjoint channel), the forward slot's
         # channel above it on the rho-side copies.
         pos = live.index(slot.qudits[0])
         if live.index(slot.qudits[1]) != pos + 1:
             raise InvalidShapeError(f"gate on qudits {slot.qudits} is not adjacent among the live qudits {live}")
-        pre = q ** (4 * pos)
+        pre = before(pos)
         if slot.gate_id in rewound:
             v = _apply(up, _apply(down, v, pre), pre)
         else:
-            v = _apply_first_moment(v, first, q, pre)
+            v = _apply_first_moment(v, first, q, pre, size[slot.qudits[0]] // (q * q))
         for a in slot.qudits:
             if last_gate[a] == k:
                 pos = live.index(a)
+                # the S pairing: in full, or against the (c3, c4) block
+                # |0><0| or I the qudit started with
+                cap = s_cap if size[a] == q**4 else np.eye(q * q)[0] if a in targeted else np.eye(q).ravel()
+                v = (cap @ v.reshape(before(pos), size[a], -1)).reshape(-1)
                 del live[pos]
-                v = (s_cap @ v.reshape(q ** (4 * pos), q**4, -1)).reshape(-1)
 
     value = complex(v.item())
     if abs(value.imag) > 1e-10:

@@ -136,3 +136,32 @@ def test_channel_json_round_trip():
 def test_nonuniform_kraus_rejected():
     with pytest.raises(InvalidParameterError):
         KrausChannel((np.eye(2), np.eye(3)), arity=1)
+
+
+def _reference_alpha_beta(channel):
+    """(alpha, beta) by the per-operator loops the batched product replaced."""
+    ops = list(channel.operators)
+    norm = float(channel.qudit_dim() ** (2 * channel.arity))
+    alpha = sum(abs(np.trace(e)) ** 2 for e in ops) / norm
+    beta = sum(abs(np.trace(ek @ ekp)) ** 2 for ek in ops for ekp in ops) / norm
+    return min(float(alpha), 1.0), min(float(beta), 1.0)
+
+
+def _random_pair_channel(q, rank, rng):
+    d = q * q
+    z = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
+    v, _ = np.linalg.qr(z)
+    return KrausChannel(tuple(v[k * d : (k + 1) * d] for k in range(rank)), arity=2)
+
+
+def test_channel_stats_equal_reference_loops():
+    """The batched traces give alpha and beta equal (==) to the loops."""
+    channels = [amplitude_damping(2, 0.05)]
+    for q in (2, 3, 4):
+        channels += [identity_channel(q), depolarizing(q, 0.05), dephasing(q, 0.05), depolarizing(q, 1.0)]
+    rng = np.random.default_rng(2903)
+    channels += [random_channel(int(rng.integers(2, 5)), int(rng.integers(1, 5)), rng) for _ in range(120)]
+    channels += [_random_pair_channel(q, rank, rng) for q in (2, 3) for rank in (1, 2, 5)]
+    for channel in channels:
+        stats = channel_stats(channel)
+        assert (stats.alpha, stats.beta) == _reference_alpha_beta(channel), (channel.dim, len(channel.operators))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rewindlab.circuits import (
     CircuitShape,
@@ -450,6 +452,73 @@ def test_twirl_answers_pair_adjacent_among_live_qudits():
     assert got == pytest.approx(_reference_twirl(layout, target), abs=1e-12)
 
 
+# -- qudits that carry their rho copies only ------------------------------------
+
+
+def _rho_only_layout(target):
+    """Gates (1, 2) and (3, 4) on four qudits: only (1, 2) is rewound, so
+    qudits 3 and 4 carry their rho copies alone and share one first moment."""
+    shape = CircuitShape(Family.CONVOLUTIONAL, 4, 1, 2)
+    return apply_rewinding(GateLayout(shape, (GateSlot((1, 2), 0), GateSlot((3, 4), 1))), target)
+
+
+@pytest.mark.parametrize("channel_name", ["none", "ad", "rand", "pair"])
+@pytest.mark.parametrize(
+    "target,noiseless",
+    [(RecycleTarget.single(3), 0.5), (RecycleTarget.pair(3, 1), 0.5), (RecycleTarget.single(1), 1.0)],
+    ids=["single3", "pair3-1", "single1"],
+)
+def test_twirl_on_qudits_carrying_rho_copies_only(target, noiseless, channel_name):
+    """single(3) caps a rho-only qudit at <0|.|0>: the first moment leaves
+    it maximally mixed, 1/2 without noise; qudits 1 and 2 are restored."""
+    layout = _rho_only_layout(target)
+    assert layout.rewound_ids == {0}
+    channel = _channel(channel_name)
+    got = exact_twirl_fidelity(layout, target, channel=channel).value
+    assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12)
+    if channel is None:
+        assert got == pytest.approx(noiseless, abs=1e-12)
+
+
+@pytest.mark.parametrize("channel_name", ["none", "ad", "rand", "pair"])
+def test_twirl_first_moment_beside_a_qudit_carrying_all_copies(channel_name):
+    """A hand-built rewinding of (1, 2) and (3, 4) only: the first moment
+    (2, 3) meets qudit 3 with its (c3, c4) copies, and qudit 4 after it."""
+    target = RecycleTarget.pair(3, 1)
+    shape = CircuitShape(Family.CONVOLUTIONAL, 4, 1, 2)
+    forward = (GateSlot((1, 2), 0), GateSlot((2, 3), 1), GateSlot((3, 4), 2))
+    layout = GateLayout(shape, forward + (GateSlot((3, 4), 2, dagger=True), GateSlot((1, 2), 0, dagger=True)))
+    channel = _channel(channel_name)
+    got = exact_twirl_fidelity(layout, target, channel=channel).value
+    assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12)
+
+
+@st.composite
+def _adjacent_gate_lists(draw):
+    """A layout of n - 1 to 3n gates (a, a + 1) on n = 3..5 qudits, rewound
+    for a random single, prefix or pair target."""
+    n = draw(st.integers(3, 5))
+    starts = draw(st.lists(st.integers(1, n - 1), min_size=n - 1, max_size=3 * n))
+    kind = draw(st.sampled_from(["single", "prefix", "pair"]))
+    if kind == "pair":
+        j = draw(st.integers(1, n - 2))
+        target = RecycleTarget.pair(draw(st.integers(j + 1, n - 1)), j)
+    else:
+        target = RecycleTarget(kind, (draw(st.integers(1, n - 1)),))
+    slots = tuple(GateSlot((a, a + 1), gid) for gid, a in enumerate(starts))
+    return apply_rewinding(GateLayout(CircuitShape(Family.CONVOLUTIONAL, n, 1, 2), slots), target), target
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_adjacent_gate_lists())
+def test_twirl_matches_reference_on_random_adjacent_layouts(case):
+    layout, target = case
+    for channel_name in ("none", "ad"):
+        channel = _channel(channel_name)
+        got = exact_twirl_fidelity(layout, target, channel=channel).value
+        assert got == pytest.approx(_reference_twirl(layout, target, channel), abs=1e-12), channel_name
+
+
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_narrow_twirl_matches_hybrid_closed_form(q, m):
     from rewindlab.closedform import hybrid_fidelity
@@ -714,6 +783,36 @@ def test_twirl_peak_memory_follows_live_width_not_n(channel_name):
             tracemalloc.stop()
 
     assert peak(40) <= 1.25 * peak(5)
+
+
+def test_twirl_cap_reads_the_element_count_of_rho_only_qudits(monkeypatch):
+    """Local n=4 m=6 keeps its four qudits live, but qudit 4 carries only its
+    rho copies: 2^12 x 2^2 = 2^14 elements, not 2^16."""
+    from rewindlab.closedform import local_fidelity
+
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.LOCAL, 4, 6, 2), target)
+    monkeypatch.setattr(oracle, "MAX_TWIRL_ELEMENTS", 1 << 14)
+    want = float(local_fidelity(2, 4, 6).value)
+    assert exact_twirl_fidelity(layout, target).value == pytest.approx(want, abs=1e-12)
+    monkeypatch.setattr(oracle, "MAX_TWIRL_ELEMENTS", (1 << 14) - 1)
+    with pytest.raises(TooLargeError, match="4 live qudits, 16384 elements"):
+        exact_twirl_fidelity(layout, target)
+
+
+def test_twirl_peak_memory_with_rho_only_qudit():
+    """A complex local n=4 m=6 twirl peaks near two 2^14-element vectors."""
+    target = RecycleTarget.single(1)
+    layout = protocol_layout(CircuitShape(Family.LOCAL, 4, 6, 2), target)
+    channel = _channel("rand")
+    exact_twirl_fidelity(layout, target, channel=channel)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        exact_twirl_fidelity(layout, target, channel=channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 2**14 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("family,n,m,count", [(Family.CONVOLUTIONAL, 10, 1, 1024), (Family.HYBRID, 9, 2, 2048)])
