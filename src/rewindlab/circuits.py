@@ -63,12 +63,6 @@ class CircuitShape:
             if self.n < 4 or self.n % 2 or self.m < 2 or self.m % 2:
                 raise InvalidShapeError("local circuits need even n >= 4 and even m >= 2")
 
-    def to_json(self, target: "RecycleTarget | None" = None) -> str:
-        doc = {"family": self.family.value, "n": self.n, "m": self.m, "q": self.q}
-        if target is not None:
-            doc["target"] = target.to_dict()
-        return json.dumps(doc)
-
     @classmethod
     def from_json(cls, text: str) -> "tuple[CircuitShape, RecycleTarget | None]":
         doc = json.loads(text)
@@ -134,9 +128,6 @@ class RecycleTarget:
         if self.kind == "prefix":
             return frozenset(range(1, self.indices[0] + 1))
         return frozenset(self.indices)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "indices": list(self.indices)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RecycleTarget":

@@ -360,22 +360,26 @@ def paths(start, end, s, t, method):
     """Count monotone paths confined to the diagonal band."""
     from rewindlab import pathcount
 
-    backends = ["reflection", "trig", "dp"]
+    counts = {
+        "reflection": pathcount.count_paths_reflection,
+        "trig": pathcount.count_paths_trig,
+        "dp": pathcount.count_paths_dp,
+    }
     try:
         a = tuple(int(x) for x in start.split(","))
         b = tuple(int(x) for x in end.split(","))
         if len(a) != 2 or len(b) != 2:
             raise click.UsageError(f"points are two integers a,b; got {start!r} and {end!r}")
         band = pathcount.BandConstraint(s, t)
-        names = backends if method == "all" else [m.strip() for m in method.split(",")]
+        names = list(counts) if method == "all" else [m.strip() for m in method.split(",")]
         for name in names:
-            if name not in backends:
-                raise click.UsageError(f"unknown method {name!r}; choose from {','.join(backends)} or all")
+            if name not in counts:
+                raise click.UsageError(f"unknown method {name!r}; choose from {','.join(counts)} or all")
     except (ValueError, RewindlabError) as exc:
         raise click.UsageError(str(exc))
     for name in names:
         try:
-            count = pathcount.count_paths(a, b, band, method=name)
+            count = counts[name](a, b, band)
         except RewindlabError as exc:
             click.echo(f"error: {name}: {exc}", err=True)
             sys.exit(COMPUTE_EXIT)
@@ -423,12 +427,8 @@ def compare(family, target, alpha, beta, channel_path, q, n, m, tolerance):
     if len(values) < 2:
         click.echo("fewer than two feasible methods", err=True)
         sys.exit(COMPUTE_EXIT)
-    names = sorted(values)
-    worst = 0.0
-    for i, a_name in enumerate(names):
-        for b_name in names[i + 1 :]:
-            worst = max(worst, abs(values[a_name] - values[b_name]))
-    for name in names:
+    worst = max(values.values()) - min(values.values())
+    for name in sorted(values):
         click.echo(f"{name}: {values[name]:.15g}")
     click.echo(f"max pairwise deviation: {worst:.3g}")
     if worst > tolerance:

@@ -71,9 +71,6 @@ def conv_fidelity(q: int, n: int, target: RecycleTarget) -> FidelityResult:
         value = 1 - lam ** (n - k) * (1 - Fraction(1, q * (q * q - q + 1)) * inner)
     else:  # pair; target.validate refuses every other kind
         i, j = target.indices
-        if (i, j) == (2, 1):
-            # qudits {1, 2} together are exactly the two-qudit prefix
-            return FidelityResult(value=conv_fidelity(q, n, RecycleTarget.prefix(2)).value, method="closed")
         j = max(j, 2)
         value = 1 - Fraction(q - 1, q) * lam ** (n - i) * (1 + Fraction(1, q) * lam ** (i - j))
     return FidelityResult(value=value, method="closed")

@@ -76,10 +76,10 @@ class KrausChannel:
         return cls(tuple(ops), arity=doc.get("arity", 1))
 
 
-def validate_channel(channel: KrausChannel, tol: float = COMPLETENESS_TOL) -> None:
-    """Check the completeness relation sum_k E_k^dag E_k = I."""
+def validate_channel(channel: KrausChannel) -> None:
+    """Check the completeness relation sum_k E_k^dag E_k = I to ``COMPLETENESS_TOL``."""
     residual = channel.completeness_residual()
-    if residual > tol:
+    if residual > COMPLETENESS_TOL:
         raise NotTracePreservingError(residual)
 
 

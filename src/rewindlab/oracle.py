@@ -66,7 +66,6 @@ peak size.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from typing import TYPE_CHECKING
@@ -97,7 +96,8 @@ MAX_MC_ELEMENTS = 1 << 20
 # matrices, whichever is larger).
 _MC_BATCH_ELEMENTS = 1 << 20
 
-# Monte-Carlo samples per seeded chunk (see :class:`SeededRng`).
+# Monte-Carlo samples per seeded chunk: chunk c draws from the generator
+# seeded by SeedSequence(seed, spawn_key=(c,)) (see mc_average_fidelity).
 MC_CHUNK = 4096
 
 
@@ -132,21 +132,6 @@ def _haar_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
             v -= np.einsum("kib,kb->ib", done, np.einsum("kib,ib->kb", done.conj(), v))
         v /= np.sqrt(np.einsum("ib,ib->b", v.real, v.real) + np.einsum("ib,ib->b", v.imag, v.imag))
     return cols.transpose(2, 1, 0)
-
-
-@dataclass(frozen=True)
-class SeededRng:
-    """Master seed with deterministic per-chunk substreams.
-
-    Samples are processed in chunks of ``MC_CHUNK``; chunk c draws from the
-    generator seeded by SeedSequence(master, spawn_key=(c,)), so estimates
-    are bit-identical for a given seed regardless of scheduling.
-    """
-
-    master: int
-
-    def chunk_rng(self, index: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=(index,)))
 
 
 def check_channel_dim(channel: "KrausChannel", q: int) -> None:
@@ -429,8 +414,10 @@ def _run_batch(
     at its front or back, it acts on the (count, pre, D^2, post) view with
     pre or post 1 and copies nothing.  Otherwise one copy moves both to the
     front, and each sample is one gemm on the (count, D^2, rest) view.  The
-    readout indexes the axes in ``order``.  Samples run in sub-batches of at
-    most ``_MC_BATCH_ELEMENTS`` vector or slot-matrix elements each.
+    readout indexes the axes in ``order``.  A qudit that no gate touches
+    never joins: it stays in |0>, or |0><0|, and contributes 1.  Samples
+    run in sub-batches of at most ``_MC_BATCH_ELEMENTS`` vector or
+    slot-matrix elements each.
     """
     n, q = layout.n, layout.q
     gates = {gid: _haar_batch(q * q, count, rng) for gid in sorted({s.gate_id for s in layout.slots})}
@@ -473,10 +460,7 @@ def _run_batch(
             v = v.reshape(size, dim * dim, -1)
             order = [*slot.qudits, *(a for a in order if a not in slot.qudits)]
             v = np.matmul(mat, v)
-        for a in range(1, n + 1):
-            if a not in order:
-                v = join(v, a)
-        v = v.reshape(size, dim**n)
+        v = v.reshape(size, -1)
 
         if channel is not None:
             # the ket = bra entries, with every targeted qudit in |0><0|
@@ -487,7 +471,7 @@ def _run_batch(
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ArithmeticError("statevector norm drifted beyond 1e-9")
         kept = (slice(None),) + tuple(0 if a in targeted else slice(None) for a in order)
-        proj = v.reshape((size,) + (q,) * n)[kept].reshape(size, -1)
+        proj = v.reshape((size,) + (q,) * len(order))[kept].reshape(size, -1)
         out[lo : lo + size] = np.einsum("bi,bi->b", proj.conj(), proj).real
     return out
 
@@ -497,18 +481,19 @@ def mc_average_fidelity(
     target: RecycleTarget,
     channel: "KrausChannel | None" = None,
     samples: int = 10_000,
-    rng: SeededRng | int = 0,
+    rng: int = 0,
 ) -> FidelityResult:
     """Monte-Carlo estimate of the averaged fidelity.
 
-    Noiseless samples are state vectors, noisy ones folded density
-    matrices (see :func:`_run_batch`); either is refused before any
+    ``rng`` is the master seed.  Samples run in chunks of ``MC_CHUNK``, and
+    chunk c draws from ``default_rng(SeedSequence(rng, spawn_key=(c,)))``,
+    so the estimate is bit-identical for a given seed however the chunks
+    are scheduled.  Noiseless samples are state vectors, noisy ones folded
+    density matrices (see :func:`_run_batch`); either is refused before any
     allocation past ``MAX_MC_ELEMENTS`` elements, q^n or q^(2n).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if isinstance(rng, int):
-        rng = SeededRng(rng)
     targeted = target.qudits(layout.n)
     if channel is not None:
         check_channel_dim(channel, layout.q)
@@ -525,7 +510,8 @@ def mc_average_fidelity(
 
     def run_chunk(job):
         index, count = job
-        return _run_batch(layout, targeted, rng.chunk_rng(index), count, channel)
+        chunk_rng = np.random.default_rng(np.random.SeedSequence(rng, spawn_key=(index,)))
+        return _run_batch(layout, targeted, chunk_rng, count, channel)
 
     values = np.concatenate(map_chunks(run_chunk, plan))
     mean = float(np.mean(values))

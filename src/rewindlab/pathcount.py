@@ -2,7 +2,8 @@
 
 Paths take unit steps right or up from (a, b) to (c, d) and must stay
 weakly between the lines y = x + s and y = x + t (boundary contact
-allowed).  Three interchangeable backends:
+allowed).  Points are ``(x, y)`` pairs of integers.  Three interchangeable
+counts, which the ``paths`` command names:
 
 * :func:`count_paths_reflection` -- alternating sum of binomials over
   reflected endpoints, restricted to the finitely many nonzero terms;
@@ -31,12 +32,6 @@ TRIG_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
-class LatticePoint:
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
 class BandConstraint:
     """Diagonal band s <= y - x <= t."""
 
@@ -51,39 +46,33 @@ class BandConstraint:
         return self.s <= y - x <= self.t
 
 
-def _as_point(p) -> LatticePoint:
-    if isinstance(p, LatticePoint):
-        return p
-    return LatticePoint(*p)
-
-
-def _check_endpoints(a: LatticePoint, b: LatticePoint, band: BandConstraint) -> None:
-    if not band.contains(a.x, a.y):
-        raise PreconditionError(f"start {a} outside band {band}")
-    if not band.contains(b.x, b.y):
-        raise PreconditionError(f"end {b} outside band {band}")
+def _check_endpoints(start, end, band: BandConstraint) -> None:
+    if not band.contains(*start):
+        raise PreconditionError(f"start {start} outside band {band}")
+    if not band.contains(*end):
+        raise PreconditionError(f"end {end} outside band {band}")
 
 
 def count_paths_dp(start, end, band: BandConstraint) -> int:
-    """Dynamic programming over the rectangle [a.x..b.x] x [a.y..b.y].
+    """Dynamic programming over the rectangle [ax..bx] x [ay..by].
 
     Returns 0 for unreachable endpoints instead of raising; cells outside
     the band are zeroed, endpoints included.
     """
-    a, b = _as_point(start), _as_point(end)
-    if b.x < a.x or b.y < a.y:
+    (ax, ay), (bx, by) = start, end
+    if bx < ax or by < ay:
         return 0
-    width, height = b.x - a.x + 1, b.y - a.y + 1
+    width, height = bx - ax + 1, by - ay + 1
     col = [0] * height
-    if band.contains(a.x, a.y):
+    if band.contains(ax, ay):
         col[0] = 1
     for j in range(1, height):
-        col[j] = col[j - 1] if band.contains(a.x, a.y + j) else 0
+        col[j] = col[j - 1] if band.contains(ax, ay + j) else 0
     for i in range(1, width):
-        x = a.x + i
+        x = ax + i
         nxt = [0] * height
         for j in range(height):
-            if not band.contains(x, a.y + j):
+            if not band.contains(x, ay + j):
                 continue
             nxt[j] = col[j] + (nxt[j - 1] if j else 0)
         col = nxt
@@ -117,11 +106,11 @@ def count_paths_reflection(start, end, band: BandConstraint) -> int:
     for unreachable endpoints; the count itself is the one integer kernel
     :func:`_reflection`, which the relaxed counts share.
     """
-    a, b = _as_point(start), _as_point(end)
-    _check_endpoints(a, b, band)
-    if b.x < a.x or b.y < a.y:
+    _check_endpoints(start, end, band)
+    (ax, ay), (bx, by) = start, end
+    if bx < ax or by < ay:
         return 0
-    return _reflection(a.x, a.y, b.x, b.y, band.s, band.t)
+    return _reflection(ax, ay, bx, by, band.s, band.t)
 
 
 def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> int:
@@ -132,11 +121,11 @@ def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> i
     degenerate one-diagonal band (t == s) admits only the empty path and is
     handled directly, as the k-sum is empty there.
     """
-    a, b = _as_point(start), _as_point(end)
-    _check_endpoints(a, b, band)
-    if b.x < a.x or b.y < a.y:
+    _check_endpoints(start, end, band)
+    (ax, ay), (bx, by) = start, end
+    if bx < ax or by < ay:
         return 0
-    if (a.x, a.y) == (b.x, b.y):
+    if (ax, ay) == (bx, by):
         # Empty path.  The folded k-sum pairs modes k and p-k and so drops
         # the zero-eigenvalue middle mode of even periods, which only
         # contributes at path length zero.
@@ -145,7 +134,7 @@ def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> i
     if t == s:
         return 0  # any step leaves the single allowed diagonal
     period = t - s + 2
-    length = b.x + b.y - a.x - a.y
+    length = bx + by - ax - ay
     import mpmath  # imported here so that importing rewindlab does not load it
 
     with mpmath.workdps(dps):
@@ -154,8 +143,8 @@ def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> i
             angle = mpmath.pi * k / period
             term = (
                 (2 * mpmath.cos(angle)) ** length
-                * mpmath.sin(angle * (a.x - a.y + t + 1))
-                * mpmath.sin(angle * (b.x - b.y + t + 1))
+                * mpmath.sin(angle * (ax - ay + t + 1))
+                * mpmath.sin(angle * (bx - by + t + 1))
             )
             total += term
         total *= mpmath.mpf(4) / period
@@ -163,17 +152,6 @@ def count_paths_trig(start, end, band: BandConstraint, dps: int = TRIG_DPS) -> i
         if abs(total - nearest) > TRIG_TOLERANCE:
             raise IntegralityError(f"trig sum {total} is not within {TRIG_TOLERANCE} of an integer")
     return nearest
-
-
-_BACKENDS = {
-    "reflection": count_paths_reflection,
-    "trig": count_paths_trig,
-    "dp": count_paths_dp,
-}
-
-
-def count_paths(start, end, band: BandConstraint, method: str = "reflection") -> int:
-    return _BACKENDS[method](start, end, band)
 
 
 def _relaxed(ax: int, ay: int, bx: int, by: int, s: int, t: int) -> int:
@@ -209,5 +187,5 @@ def count_paths_relaxed(start, end, band: BandConstraint) -> int:
     Endpoints may sit at most one diagonal outside (their first/last step
     is then forced back into the band); further out the count is zero.
     """
-    a, b = _as_point(start), _as_point(end)
-    return _relaxed(a.x, a.y, b.x, b.y, band.s, band.t)
+    (ax, ay), (bx, by) = start, end
+    return _relaxed(ax, ay, bx, by, band.s, band.t)

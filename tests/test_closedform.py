@@ -53,6 +53,13 @@ def test_conv_matches_lattice_grid():
                 assert conv_fidelity(q, n, t).value == lattice_value(Family.CONVOLUTIONAL, n, 1, q, t), t
 
 
+def test_conv_pair_2_1_is_the_two_qudit_prefix():
+    # the pair formula at i = j = 2 leaves the gap (q^2 - 1)/q^2 lam^(n-2), prefix(2)'s gap
+    for q in range(2, 8):
+        for n in range(3, 60):
+            assert conv_fidelity(q, n, RecycleTarget.pair(2, 1)).value == conv_fidelity(q, n, RecycleTarget.prefix(2)).value, (q, n)
+
+
 def test_single_limit_and_first_two_equal():
     for q in (2, 3, 5):
         assert conv_fidelity(q, 3, RecycleTarget.single(1)).value == conv_fidelity(

@@ -19,7 +19,6 @@ from rewindlab.errors import InvalidParameterError, InvalidShapeError, TooLargeE
 from rewindlab.noise import KrausChannel, amplitude_damping, depolarizing, identity_channel, random_channel
 from rewindlab import oracle
 from rewindlab.oracle import (
-    SeededRng,
     exact_twirl_fidelity,
     haar_unitary,
     mc_average_fidelity,
@@ -168,12 +167,12 @@ def test_mc_matches_exact():
 def test_mc_seed_reproducible():
     target = RecycleTarget.single(1)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
-    a = mc_average_fidelity(layout, target, samples=5000, rng=SeededRng(42))
-    b = mc_average_fidelity(layout, target, samples=5000, rng=SeededRng(42))
-    c = mc_average_fidelity(layout, target, samples=5000, rng=SeededRng(43))
+    a = mc_average_fidelity(layout, target, samples=5000, rng=42)
+    b = mc_average_fidelity(layout, target, samples=5000, rng=42)
+    c = mc_average_fidelity(layout, target, samples=5000, rng=43)
     assert a.value == b.value and a.stderr == b.stderr
     assert a.value != c.value
-    single = mc_average_fidelity(layout, target, samples=1, rng=SeededRng(1))
+    single = mc_average_fidelity(layout, target, samples=1, rng=1)
     assert 0.0 <= single.value <= 1.0
 
 
@@ -182,8 +181,8 @@ def test_mc_identity_channel_equals_noiseless_estimate():
     per-sample fidelities coincide with pure-state simulation."""
     target = RecycleTarget.single(1)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
-    pure = mc_average_fidelity(layout, target, samples=400, rng=SeededRng(9))
-    dens = mc_average_fidelity(layout, target, channel=identity_channel(2), samples=400, rng=SeededRng(9))
+    pure = mc_average_fidelity(layout, target, samples=400, rng=9)
+    dens = mc_average_fidelity(layout, target, channel=identity_channel(2), samples=400, rng=9)
     assert dens.value == pytest.approx(pure.value, abs=1e-12)
 
 
@@ -192,7 +191,7 @@ def test_noisy_twirl_vs_noisy_mc():
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
     channel = depolarizing(2, 0.04)
     exact = exact_twirl_fidelity(layout, target, channel=channel).value
-    est = mc_average_fidelity(layout, target, channel=channel, samples=3000, rng=SeededRng(3))
+    est = mc_average_fidelity(layout, target, channel=channel, samples=3000, rng=3)
     assert abs(est.value - exact) < 4 * est.stderr
 
 
@@ -661,8 +660,8 @@ def _right_to_left_layouts():
     """Right-to-left sweeps: each new qudit joins as the last axis while its
     partner sits first, so every gate after the first finds its pair in
     reverse order and moves it to the front.  A qudit no gate touches (3 in
-    the last case) joins last, just before the readout, so the readout's
-    axis order is not index order."""
+    the last case) never joins, so the readout covers fewer axes than
+    qudits, in an order that is not index order."""
 
     def sweeps(n):
         return [(a, a + 1) for a in range(n - 1, 0, -1)] + [(a, a + 1) for a in range(1, n)]
@@ -709,14 +708,14 @@ def test_mc_seeded_results_are_pinned():
     """Seeded estimates, bit for bit, of the samplers this one replaced."""
     target = RecycleTarget.pair(4, 2)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 5, 1, 2), target)
-    res = mc_average_fidelity(layout, target, samples=8192, rng=SeededRng(31))
+    res = mc_average_fidelity(layout, target, samples=8192, rng=31)
     assert (res.value, res.stderr) == (0.47244162473007284, 0.0018662279299514757)
     target = RecycleTarget.single(1)
     layout = protocol_layout(CircuitShape(Family.HYBRID, 4, 2, 2), target)
-    res = mc_average_fidelity(layout, target, channel=amplitude_damping(2, 0.1), samples=3000, rng=SeededRng(5))
+    res = mc_average_fidelity(layout, target, channel=amplitude_damping(2, 0.1), samples=3000, rng=5)
     assert (res.value, res.stderr) == (0.5927684091472497, 0.0012790624720340267)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
-    res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=SeededRng(29))
+    res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=29)
     assert (res.value, res.stderr) == (0.5906045458766196, 0.0022214912673218)
 
 
@@ -726,7 +725,7 @@ def test_noisy_mc_bit_identical_across_thread_counts(monkeypatch):
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("REWINDLAB_THREADS", threads)
-        res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=SeededRng(29))
+        res = mc_average_fidelity(layout, target, channel=depolarizing(2, 0.05), samples=5000, rng=29)
         results.append((res.value, res.stderr))
     assert results[0] == results[1]
 
@@ -737,7 +736,7 @@ def test_pure_mc_bit_identical_across_thread_counts(monkeypatch):
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("REWINDLAB_THREADS", threads)
-        res = mc_average_fidelity(layout, target, samples=8192, rng=SeededRng(31))  # two chunks
+        res = mc_average_fidelity(layout, target, samples=8192, rng=31)  # two chunks
         results.append((res.value, res.stderr))
     assert results[0] == results[1]
 
@@ -748,7 +747,7 @@ def test_noisy_twirl_vs_density_mc_complex_and_pair_channels(channel_name):
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 3, 1, 2), target)
     channel = _channel(channel_name)
     exact = exact_twirl_fidelity(layout, target, channel=channel).value
-    est = mc_average_fidelity(layout, target, channel=channel, samples=3000, rng=SeededRng(5))
+    est = mc_average_fidelity(layout, target, channel=channel, samples=3000, rng=5)
     assert abs(est.value - exact) < 4 * est.stderr
 
 

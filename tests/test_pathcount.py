@@ -12,8 +12,6 @@ from rewindlab.closedform import _seg_count
 from rewindlab.errors import IntegralityError, PreconditionError
 from rewindlab.pathcount import (
     BandConstraint,
-    LatticePoint,
-    count_paths,
     count_paths_dp,
     count_paths_reflection,
     count_paths_relaxed,
@@ -135,18 +133,6 @@ def test_trig_integrality_guard():
     # sabotaged precision must trip the integrality check, not round silently
     with pytest.raises(IntegralityError):
         count_paths_trig((0, 0), (8, 8), BandConstraint(-1, 2), dps=3)
-
-
-def test_method_dispatch():
-    band = BandConstraint(-1, 1)
-    for method in ("reflection", "trig", "dp"):
-        assert count_paths((0, 0), (2, 2), band, method=method) == 4
-
-
-def test_point_type():
-    p = LatticePoint(2, 3)
-    assert (p.x, p.y) == (2, 3)
-    assert count_paths_dp(p, LatticePoint(3, 4), BandConstraint(-2, 2)) == 2
 
 
 def test_importing_the_package_leaves_mpmath_unloaded():

@@ -19,7 +19,6 @@ from rewindlab.oracle import exact_twirl_fidelity
 from rewindlab.statmech import (
     LatticeLeg,
     LatticeNode,
-    S2Spin,
     TrivalentRule,
     enumerate_support,
     lattice_from_circuit,
@@ -28,7 +27,7 @@ from rewindlab.statmech import (
     transfer_fidelity,
 )
 
-ONE, S = S2Spin.ONE, S2Spin.S
+ONE, S = statmech.ONE, statmech.S
 
 
 def make_lattice(family, n, m, q, target):
