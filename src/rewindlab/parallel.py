@@ -1,8 +1,8 @@
-"""Thread-cap plumbing for the chunked Monte-Carlo sampler.
+"""Thread-count plumbing for the chunked Monte-Carlo sampler.
 
-REWINDLAB_THREADS caps internal parallelism; chunk results are always
-combined in index order, so estimates are bit-identical however many
-workers run.
+The sampler runs one worker thread per CPU this process may use;
+REWINDLAB_THREADS sets another count.  Chunk results are always combined
+in index order, so estimates are bit-identical however many workers run.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
-        return max(1, int(os.environ.get("REWINDLAB_THREADS", "1")))
+        return max(1, int(os.environ.get("REWINDLAB_THREADS", usable)))
     except ValueError:
         return 1
 

@@ -35,6 +35,11 @@ the one table:
   whose nodes are the table's (new, S, old) entries with their input
   wires in them; valid with or without noise.
 
+Each call builds the weights of a node kind (each leg's fixed spin or
+free, plus the input wires) once.  Without noise they are integer
+numerators over 1 or q^2 + 1 (:meth:`TrivalentRule.numerators`): the
+evaluators run in ints and build one Fraction at the end.
+
 Boundary bookkeeping (exact, derived from the folded four-copy picture):
 the lattice holds only its graph, and every weight is the rule's.  A
 node's upward leg ends at a free node or at a fixed spin: S for the
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 
 from rewindlab.circuits import GateLayout, RecycleTarget
 from rewindlab.errors import (
@@ -105,8 +111,20 @@ class TrivalentRule:
         at (ONE, S) by (q, 1) when kept and by ``recycled_boundary`` when
         recycled.  The entries are exact when every parameter is exact.
         """
+        d4 = self.q**4 - 1
+        return {key: _ratio(num, d4) * wires for key, num, wires in self._over_d4(node)}
+
+    def numerators(self, node: LatticeNode) -> tuple[dict, int]:
+        """:meth:`table` as integer numerators over d4 reduced by their gcd;
+        needs integer parameters."""
+        d4 = self.q**4 - 1
+        nums = {key: num * wires for key, num, wires in self._over_d4(node)}
+        g = gcd(d4, *nums.values())
+        return {key: num // g for key, num in nums.items()}, d4 // g
+
+    def _over_d4(self, node: LatticeNode):
+        """(key, numerator over d4 = q^4 - 1, input-wire factor) per entry."""
         q = self.q
-        d4 = q**4 - 1
         leg1, leg2 = node.legs
         p1 = self.alpha if leg1.ref is None else self.beta
         p2 = self.alpha if leg2.ref is None else self.beta
@@ -114,24 +132,30 @@ class TrivalentRule:
         for kind in node.bottoms:
             one, s = self.recycled_boundary if kind == "recycled" else (q, 1)
             at_one, at_s = at_one * one, at_s * s
-        out = {}
         for e1 in (0, 1) if leg1.eff is None else (leg1.eff,):
             for e2 in (0, 1) if leg2.eff is None else (leg2.eff,):
                 if e1 and e2:
                     p = p1 * p2
-                    w_one, w_s = _ratio(q * q * (1 - p), d4), _ratio(p * q**4 - 1, d4)
+                    w_one, w_s = q * q * (1 - p), p * q**4 - 1
                 elif e1 or e2:
                     p = p1 if e1 else p2  # the dressing of the leg that carries S
-                    w_one, w_s = _ratio(q * (q * q - p), d4), _ratio(q * (p * q * q - 1), d4)
+                    w_one, w_s = q * (q * q - p), q * (p * q * q - 1)
                 else:
-                    w_one, w_s = 1, 0
-                out[0, e1, e2] = w_one * at_one
-                out[1, e1, e2] = w_s * at_s
-        return out
+                    w_one, w_s = q**4 - 1, 0
+                yield (0, e1, e2), w_one, at_one
+                yield (1, e1, e2), w_s, at_s
 
 
 def _ratio(num, den):
     return num / den if isinstance(num, float) else Fraction(num, den)
+
+
+def _per_kind(weigh, nodes):
+    """``weigh(node)`` of each node, computed once per kind: leg spins or free, input wires."""
+    memo = {}
+    for node in nodes:
+        kind = (node.legs[0].eff, node.legs[1].eff, *node.bottoms)
+        yield memo[kind] if kind in memo else memo.setdefault(kind, weigh(node))
 
 
 # -- lattice construction --------------------------------------------------
@@ -187,8 +211,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
     nodes: list[LatticeNode] = []
     # a wire carries the index of the node it left, or its input kind
     carried: dict[int, int | str] = {w: ("recycled" if w in targeted else "kept") for w in range(1, n + 1)}
-    global_const = Fraction(1)
-    undressed = 0
+    pinned = undressed = 0  # pinned: the lattice's 1/q factors
     seen_pairs: dict[tuple[int, int], int] = {}
 
     for slot in layout.forward_slots:
@@ -214,8 +237,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                     nodes[st].legs.append(LatticeLeg(ref=None, eff=ONE))
                 elif st == "recycled":
                     undressed += 1
-                if st != "kept":
-                    global_const /= q
+                pinned += st != "kept"
                 carried[w] = "kept"
 
     # kept and recycled wires contract to 1 against the S cap
@@ -229,7 +251,7 @@ def lattice_from_circuit(layout: GateLayout, target: RecycleTarget) -> DiagramLa
                 f"node {nd.index} on {nd.qudits} has {len(nd.legs)} upward legs; cannot map this layout"
             )
 
-    return DiagramLattice(q=q, n=n, nodes=nodes, global_const=global_const, undressed=undressed)
+    return DiagramLattice(q=q, n=n, nodes=nodes, global_const=Fraction(1, q**pinned), undressed=undressed)
 
 
 # -- evaluators ------------------------------------------------------------
@@ -244,7 +266,8 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     lower node still reads to the total weight above them.  Each node
     multiplies in its table entry, skips zero entries, drops every spin it
     is the lowest reader of, and keeps its own spin only if a lower node
-    reads it.  Noiseless sums are exact Fractions, noisy ones float64.
+    reads it.  Noiseless weights are integer numerators over the product
+    of the node denominators, noisy ones float64.
 
     A frontier of more than ``FRONTIER_STATE_CAP`` = 2^16 states raises
     :class:`TooLargeError`.  After node j is summed, the frontier holds
@@ -266,39 +289,45 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
             f"{lattice.undressed} recycled wire(s) first meet a non-rewound gate; "
             "their dressed boundary is not modelled"
         )
-    cast = float if rule.noisy else Fraction
+    cast = float if rule.noisy else int
     lowest_reader: dict[int, int] = {}
     for node in reversed(lattice.nodes):
         for leg in node.legs:
             if leg.ref is not None:
                 lowest_reader[leg.ref] = node.index
 
-    # frontier keys are bitmasks over node indices
-    frontier = {0: cast(1)}
-    for node in reversed(lattice.nodes):
-        j = node.index
-        table = rule.table(node)
-        own = 1 << j if j in lowest_reader else 0
-        done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
-        keep = ~sum(1 << ref for ref in done)
-        # nonzero (own-spin bit, weight) pairs per resolved (leg-1, leg-2) spins
+    def weigh(node):
+        # nonzero (own spin, weight) pairs per resolved (leg-1, leg-2) spins
+        table, den = (rule.table(node), 1) if rule.noisy else rule.numerators(node)
         entries = {(e1, e2): [] for _, e1, e2 in table}
         for (tau, e1, e2), f in table.items():
             if f != 0:
-                entries[e1, e2].append((own * tau, cast(f)))
+                entries[e1, e2].append((tau, cast(f)))
+        return entries, den
+
+    # frontier keys are bitmasks over node indices; weights are over den
+    frontier, den = {0: cast(1)}, 1
+    nodes = lattice.nodes[::-1]
+    for node, (entries, node_den) in zip(nodes, _per_kind(weigh, nodes)):
+        j = node.index
+        own = 1 << j if j in lowest_reader else 0
+        done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
+        keep = ~sum(1 << ref for ref in done)
         leg1, leg2 = node.legs
         summed: dict = {}
         for key, w in frontier.items():
             e1 = leg1.eff if leg1.ref is None else key >> leg1.ref & 1
             e2 = leg2.eff if leg2.ref is None else key >> leg2.ref & 1
             rest = key & keep
-            for bit, f in entries[e1, e2]:
-                summed[rest | bit] = summed.get(rest | bit, 0) + w * f
+            for tau, f in entries[e1, e2]:
+                bit = rest | own if tau else rest
+                summed[bit] = summed.get(bit, 0) + w * f
         if len(summed) > FRONTIER_STATE_CAP:
             raise TooLargeError(f"frontier of {len(summed)} states at node {j} exceeds cap {FRONTIER_STATE_CAP}")
-        frontier = summed
+        frontier, den = summed, den * node_den
     total = sum(frontier.values(), cast(0))
-    return FidelityResult(value=total * cast(lattice.global_const), method="sum")
+    value = total * float(lattice.global_const) if rule.noisy else Fraction(total, den) * lattice.global_const
+    return FidelityResult(value=value, method="sum")
 
 
 def enumerate_support(lattice: DiagramLattice):
@@ -310,19 +339,25 @@ def enumerate_support(lattice: DiagramLattice):
     single-domain-wall state.  A support of more than ``SUPPORT_CAP``
     configurations raises :class:`TooLargeError` as the list would pass it.
     """
-    rule = TrivalentRule(lattice.q)
-    tables = [rule.table(node) for node in lattice.nodes]
+    found, den = _support(lattice)
+    return [(spins, Fraction(w, den)) for spins, w in found]
+
+
+def _support(lattice: DiagramLattice):
+    """:func:`enumerate_support` with integer weights over one denominator."""
+    weights = list(_per_kind(TrivalentRule(lattice.q).numerators, lattice.nodes))
+    tables = [table for table, _ in weights]
     order = list(range(len(lattice.nodes) - 1, -1, -1))
     spins = [0] * len(lattice.nodes)
-    found: list[tuple[tuple[int, ...], Fraction]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
 
-    def factor(i: int) -> Fraction:
+    def factor(i: int) -> int:
         leg1, leg2 = lattice.nodes[i].legs
         e1 = leg1.eff if leg1.ref is None else spins[leg1.ref]
         e2 = leg2.eff if leg2.ref is None else spins[leg2.ref]
         return tables[i][(spins[i], e1, e2)]
 
-    def dfs(pos: int, weight: Fraction):
+    def dfs(pos: int, weight: int):
         if pos == len(order):
             if len(found) == SUPPORT_CAP:
                 raise TooLargeError(f"single-wall support of more than {SUPPORT_CAP} configurations exceeds the cap")
@@ -336,8 +371,8 @@ def enumerate_support(lattice: DiagramLattice):
                 dfs(pos + 1, weight * f)
         spins[i] = 0
 
-    dfs(0, Fraction(1))
-    return found
+    dfs(0, 1)
+    return found, prod(den for _, den in weights)
 
 
 def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
@@ -348,9 +383,8 @@ def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
     partition sum there.  With noise multiple walls carry weight once the
     trivalent zeros are lifted, so there is no noisy variant.
     """
-    total = Fraction(0)
-    for _, w in enumerate_support(lattice):
-        total += w
+    found, den = _support(lattice)
+    total = Fraction(sum(w for _, w in found), den)
     return FidelityResult(value=total * lattice.global_const, method="wall")
 
 
@@ -360,7 +394,7 @@ def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
 _CHAIN_LEGS = (LatticeLeg(ref=None, eff=S), LatticeLeg(ref=0, eff=None))
 
 
-def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...]) -> list[list]:
+def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...], exact: bool = False) -> tuple:
     """Chain node ``[new][old]`` of the convolutional transfer product.
 
     One gate of the chain: leg 1 goes to the fidelity cap (fixed at S,
@@ -369,10 +403,12 @@ def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...]) -> list[list]:
     (new, S, old).  With one kept input wire the node has the eigenvalue
     1, with left eigenvector (q, 1), and the subleading eigenvalue
     alpha q^2 (beta q^2 - 1)/(q^4 - 1), which is q^2/(q^2+1) without
-    noise.
+    noise.  Returned as (row ONE, row S, denominator): the rule's integer
+    numerators if ``exact``, else its table over 1.
     """
-    table = rule.table(LatticeNode(index=0, qudits=(1, 2), coords=(0, 1), legs=_CHAIN_LEGS, bottoms=bottoms))
-    return [[table[0, 1, 0], table[0, 1, 1]], [table[1, 1, 0], table[1, 1, 1]]]
+    node = LatticeNode(index=0, qudits=(1, 2), coords=(0, 1), legs=_CHAIN_LEGS, bottoms=bottoms)
+    table, den = rule.numerators(node) if exact else (rule.table(node), 1)
+    return [table[0, 1, 0], table[0, 1, 1]], [table[1, 1, 0], table[1, 1, 1]], den
 
 
 def transfer_fidelity(
@@ -392,7 +428,7 @@ def transfer_fidelity(
     at ONE and costs 1/q.  ``recycled_boundary`` dresses the
     projected-qudit boundary when the adjoint channel acts right before
     the measurement; (1, 1) is the noiseless value.  The value is exact
-    when every parameter is.
+    when every parameter is; integer parameters run in ints.
     """
     if n < 3:
         raise InvalidShapeError("chain needs n >= 3")
@@ -401,8 +437,9 @@ def transfer_fidelity(
     kind = ["recycled" if w in targeted else "kept" for w in range(n)]
     # input wires per node, from the top node down to node 1
     chain = [(kind[w],) for w in range(n - 1, 2, -1)] + [(kind[1], kind[2])]
-    nodes = {bottoms: _chain_node(rule, bottoms) for bottoms in set(chain)}
-    one, s = 1, 0
-    for (a, b), (c, d) in map(nodes.get, chain):
-        one, s = a * one + b * s, c * one + d * s
-    return FidelityResult(value=(one + s) / q, method="transfer")
+    exact = all(isinstance(x, int) for x in (alpha, beta, *recycled_boundary))
+    nodes = {bottoms: _chain_node(rule, bottoms, exact) for bottoms in set(chain)}
+    one, s, den = 1, 0, q
+    for (a, b), (c, d), k in map(nodes.get, chain):
+        one, s, den = a * one + b * s, c * one + d * s, den * k
+    return FidelityResult(value=_ratio(one + s, den), method="transfer")

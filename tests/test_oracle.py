@@ -730,6 +730,17 @@ def test_noisy_mc_bit_identical_across_thread_counts(monkeypatch):
     assert results[0] == results[1]
 
 
+def test_thread_count_defaults_to_usable_cpus(monkeypatch):
+    import os
+
+    from rewindlab.parallel import thread_count
+
+    monkeypatch.delenv("REWINDLAB_THREADS", raising=False)
+    assert thread_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("REWINDLAB_THREADS", "1")
+    assert thread_count() == 1
+
+
 def test_pure_mc_bit_identical_across_thread_counts(monkeypatch):
     target = RecycleTarget.pair(4, 2)
     layout = protocol_layout(CircuitShape(Family.CONVOLUTIONAL, 5, 1, 2), target)
@@ -782,6 +793,33 @@ def test_twirl_peak_memory_follows_live_width_not_n(channel_name):
             tracemalloc.stop()
 
     assert peak(40) <= 1.25 * peak(5)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "depolarizing"])
+def test_twirl_element_count_follows_live_width_not_n(monkeypatch, q, noisy):
+    """Under a cap of the q^8 elements conv n=5 peaks at, conv n=40 still
+    answers: the folded vector counts two live qudits at every n."""
+    from rewindlab.closedform import conv_fidelity, noisy_conv_fidelity
+    from rewindlab.noise import channel_stats
+
+    channel = depolarizing(q, 0.05) if noisy else None
+    target = RecycleTarget.single(1)
+
+    def twirl(n):
+        return exact_twirl_fidelity(protocol_layout(CircuitShape(Family.CONVOLUTIONAL, n, 1, q), target), target, channel=channel)
+
+    monkeypatch.setattr(oracle, "MAX_TWIRL_ELEMENTS", q**8 - 1)
+    with pytest.raises(TooLargeError, match=f"2 live qudits, {q**8} elements"):
+        twirl(5)
+    monkeypatch.setattr(oracle, "MAX_TWIRL_ELEMENTS", q**8)
+    twirl(5)
+    if noisy:
+        stats = channel_stats(channel)
+        want = noisy_conv_fidelity(q, 40, stats.alpha, stats.beta, target, stats.recycled_boundary).value
+    else:
+        want = float(conv_fidelity(q, 40, target).value)
+    assert twirl(40).value == pytest.approx(want, abs=1e-12)
 
 
 def test_twirl_cap_reads_the_element_count_of_rho_only_qudits(monkeypatch):

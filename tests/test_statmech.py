@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -286,6 +287,21 @@ def test_transfer_matches_closed_forms_to_n9():
                 assert transfer_fidelity(q, n, t).value == conv_fidelity(q, n, t).value, (q, n, t)
 
 
+def test_exact_transfer_equals_conv_closed_form_to_n1000():
+    from rewindlab.closedform import conv_fidelity
+
+    for q in (2, 3, 5):
+        for n in (3, 4, 17, 100, 1000):
+            targets = {RecycleTarget.single(i) for i in (1, max(1, n // 2), n - 1)}
+            targets |= {RecycleTarget.prefix(k) for k in (1, max(1, n // 3), n - 1)}
+            targets |= {RecycleTarget.pair(n - 1, 1), RecycleTarget.pair(max(2, n // 2), 1)}
+            if n >= 4:
+                targets.add(RecycleTarget.pair(n - 1, n - 2))
+            for t in targets:
+                value = transfer_fidelity(q, n, t).value
+                assert isinstance(value, Fraction) and value == conv_fidelity(q, n, t).value, (q, n, t)
+
+
 def test_noisy_transfer_matches_twirl():
     channel = depolarizing(2, 0.04)
     stats = channel_stats(channel)
@@ -569,6 +585,20 @@ def test_rule_table_equals_reference_on_covered_lattices():
                     assert got[key] == pytest.approx(value, abs=1e-14), (family, n, m, q, target, node.index, key)
 
 
+def test_numerators_over_denominator_equal_table_on_covered_lattices():
+    """The integer weights the noiseless routes read are the table's entries,
+    reduced to a denominator of 1 or q^2 + 1."""
+    lattices = {(family, n, m, target) for family, n, m, _, target in _covered_shapes()}
+    for family, n, m, target in sorted(lattices, key=str):
+        for q in (2, 3, 4, 5):
+            rule = TrivalentRule(q)
+            for node in make_lattice(family, n, m, q, target).nodes:
+                nums, den = rule.numerators(node)
+                assert den in (1, q * q + 1) and gcd(den, *nums.values()) == 1, (family, n, m, q, target, node.index)
+                assert all(type(num) is int for num in nums.values())
+                assert {key: Fraction(num, den) for key, num in nums.items()} == rule.table(node)
+
+
 def test_frontier_equals_reference_on_covered_lattices():
     for family, n, m, q, target in _covered_shapes():
         lattice = make_lattice(family, n, m, q, target)
@@ -620,6 +650,33 @@ def test_frontier_equals_reference_property(shape, q, i, alpha, beta):
     assert partition_sum_exhaustive(lattice, rule).value == pytest.approx(
         _reference_partition_sum(lattice, rule), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("q,n,m", [(3, 4, 10), (2, 6, 5), (2, 12, 6)])
+def test_wall_sum_and_closed_form_agree_exactly(q, n, m):
+    lattice = make_lattice(Family.HYBRID, n, m, q, RecycleTarget.single(1))
+    wall = single_wall_fidelity(lattice).value
+    assert isinstance(wall, Fraction)
+    assert wall == partition_sum_exhaustive(lattice).value == hybrid_fidelity(q, n, m).value
+
+
+# float64 outputs of the Fraction-table evaluators the integer ones replaced
+NOISY_PINS = [
+    ("dep2", Family.HYBRID, 12, 3, RecycleTarget.single(1), 0.5576459439326658),
+    ("dep2", Family.CONVOLUTIONAL, 20, 1, RecycleTarget.single(1), 0.7954063004295258),
+    ("dep2", Family.CONVOLUTIONAL, 20, 1, RecycleTarget.pair(7, 3), 0.6432166372166201),
+    ("ad2", Family.HYBRID, 12, 3, RecycleTarget.single(1), 0.6131124295885089),
+    ("ad2", Family.CONVOLUTIONAL, 20, 1, RecycleTarget.single(1), 0.862076763959732),
+    ("ad2", Family.CONVOLUTIONAL, 20, 1, RecycleTarget.pair(7, 3), 0.7523779085630768),
+]
+
+
+@pytest.mark.parametrize("name,family,n,m,target,value", NOISY_PINS)
+def test_noisy_sum_and_transfer_values_are_pinned(name, family, n, m, target, value):
+    rule = _rule(NOISY_CHANNELS[name])
+    assert partition_sum_exhaustive(make_lattice(family, n, m, 2, target), rule).value == value
+    if family is Family.CONVOLUTIONAL:
+        assert transfer_fidelity(2, n, target, rule.alpha, rule.beta, rule.recycled_boundary).value == value
 
 
 @pytest.mark.parametrize(
