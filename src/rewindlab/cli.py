@@ -8,8 +8,9 @@ error, 3 tolerance failure in ``compare``.
 ``fidelity``, ``sweep`` and ``compare`` share one route table: the
 method names in :data:`ROUTES`, :func:`_refusal` for every refusal that
 holds at all grid points (which route answers which family, target and
-noise), and :func:`_evaluate`, which calls the library for one
-:class:`CircuitShape`.  ``fidelity`` and ``sweep`` refuse up front with
+noise), and :func:`_evaluate`, which calls the library for one grid
+point, a :class:`_Point` whose layout and lattice every route at that
+point shares.  ``fidelity`` and ``sweep`` refuse up front with
 exit 2; ``compare`` skips a refusing route and names it on stderr.  An
 unknown method is a usage error, and so is a shape the family rejects
 (``sweep`` skips such grid points instead).
@@ -139,14 +140,42 @@ def _refuse(methods: list[str], family: Family, target: RecycleTarget, channel, 
             sys.exit(COMPUTE_EXIT)
 
 
-def _evaluate(
-    method: str, shape: CircuitShape, target: RecycleTarget, channel, stats, samples: int, seed: int
-) -> FidelityResult:
+class _Point:
+    """One grid point: its shape and target, and the gate layout and spin
+    lattice its routes share, each built at most once.  A build that raised
+    raises the same error again for every route that reads it."""
+
+    def __init__(self, shape: CircuitShape, target: RecycleTarget):
+        self.shape, self.target = shape, target
+        self._built: dict = {}
+
+    def _once(self, name: str, build):
+        if name not in self._built:
+            try:
+                self._built[name] = build()
+            except RewindlabError as exc:
+                self._built[name] = exc
+        found = self._built[name]
+        if isinstance(found, RewindlabError):
+            raise found
+        return found
+
+    def layout(self):
+        return self._once("layout", lambda: protocol_layout(self.shape, self.target))
+
+    def lattice(self):
+        from rewindlab import statmech
+
+        return self._once("lattice", lambda: statmech.lattice_from_circuit(self.layout(), self.target))
+
+
+def _evaluate(method: str, point: _Point, channel, stats, samples: int, seed: int) -> FidelityResult:
     """One route at one point; :func:`_refusal` has already admitted the method.
 
     Each route's module is imported where it is called, so the closed forms
     run without loading numpy.
     """
+    shape, target = point.shape, point.target
     q, n = shape.q, shape.n
     if channel is not None:
         from rewindlab.oracle import check_channel_dim
@@ -166,18 +195,17 @@ def _evaluate(
     if method in ("twirl", "mc"):
         from rewindlab import oracle
 
-        layout = protocol_layout(shape, target)
         if method == "twirl":
-            return oracle.exact_twirl_fidelity(layout, target, channel=channel)
-        return oracle.mc_average_fidelity(layout, target, channel=channel, samples=samples, rng=seed)
+            return oracle.exact_twirl_fidelity(point.layout(), target, channel=channel)
+        return oracle.mc_average_fidelity(point.layout(), target, channel=channel, samples=samples, rng=seed)
     from rewindlab import statmech
 
     if method == "transfer":
         return statmech.transfer_fidelity(q, n, target, a, b, rb)
-    lattice = statmech.lattice_from_circuit(protocol_layout(shape, target), target)
     if method == "wall":
-        return statmech.single_wall_fidelity(lattice)
-    return statmech.partition_sum_exhaustive(lattice, statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb))
+        return statmech.single_wall_fidelity(point.lattice())
+    rule = statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
+    return statmech.partition_sum_exhaustive(point.lattice(), rule)
 
 
 def _parse_methods(text: str) -> list[str]:
@@ -247,9 +275,10 @@ def fidelity(family, target, alpha, beta, channel_path, samples, seed, q, n, m, 
     methods = _parse_methods(method)
     channel, stats = _load_channel(channel_path, alpha, beta)
     _refuse(methods, shape.family, tgt, channel, stats)
+    point = _Point(shape, tgt)
     for name in methods:
         try:
-            res = _evaluate(name, shape, tgt, channel, stats, samples, seed)
+            res = _evaluate(name, point, channel, stats, samples, seed)
         except RewindlabError as exc:
             click.echo(f"error: {name}: {exc}", err=True)
             sys.exit(COMPUTE_EXIT)
@@ -308,9 +337,10 @@ def sweep(family, target, alpha, beta, channel_path, samples, seed, qs, ns, ms, 
                 except (InvalidShapeError, InvalidTargetError):
                     skipped_points += 1  # infeasible grid point (shape rules, index range)
                     continue
+                point = _Point(shape, tgt)
                 for name in methods:
                     try:
-                        res = _evaluate(name, shape, tgt, channel, stats, samples, seed)
+                        res = _evaluate(name, point, channel, stats, samples, seed)
                     except UnsupportedRegimeError:
                         skipped_rows += 1  # this method does not cover the point; the others may
                         continue
@@ -415,11 +445,12 @@ def compare(family, target, alpha, beta, channel_path, q, n, m, tolerance):
         raise click.UsageError(str(exc))
     channel, stats = _load_channel(channel_path, alpha, beta)
     values = {}
+    point = _Point(shape, tgt)
     for name in ROUTES:
         reason = "sampled, not deterministic" if name == "mc" else _refusal(name, shape.family, tgt, channel, stats)
         if reason is None:
             try:
-                values[name] = float(_evaluate(name, shape, tgt, channel, stats, 0, 0).value)
+                values[name] = float(_evaluate(name, point, channel, stats, 0, 0).value)
                 continue
             except RewindlabError as exc:
                 reason = str(exc)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +29,16 @@ COMPLETENESS_TOL = 1e-10
 BOUNDARY_FIXED_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A list of q^w x q^w Kraus operators."""
+    """A list of q^w x q^w Kraus operators.
+
+    The operators are stored as read-only complex copies, so a channel is
+    a value: two channels are equal, and hash alike, when their arity,
+    operator shapes and operator bytes agree.  Caches of per-channel
+    constants (:func:`channel_stats`, :func:`rewindlab.oracle._gate_maps`)
+    are keyed by it.
+    """
 
     operators: tuple[np.ndarray, ...]
     arity: int = 1
@@ -38,11 +46,22 @@ class KrausChannel:
     def __post_init__(self):
         if type(self.arity) is not int or self.arity not in (1, 2):  # a bool is no arity
             raise InvalidParameterError(f"arity {self.arity!r} is not 1 or 2 (the qudits a channel acts on)")
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
+        ops = tuple(np.array(e, dtype=complex) for e in self.operators)
+        for e in ops:
+            e.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         dims = {e.shape for e in ops}
         if len(dims) != 1 or ops[0].shape[0] != ops[0].shape[1]:
             raise InvalidParameterError("Kraus operators must be square and uniformly sized")
+        object.__setattr__(self, "_key", (self.arity, tuple((e.shape, e.tobytes()) for e in ops)))
+
+    def __eq__(self, other):
+        if not isinstance(other, KrausChannel):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def dim(self) -> int:
@@ -95,8 +114,10 @@ class ChannelStats:
         return (self.recycled_one, self.recycled_s)
 
 
+@lru_cache(maxsize=64)
 def channel_stats(channel: KrausChannel) -> ChannelStats:
-    """Derive (alpha, beta) plus boundary overlaps."""
+    """Derive (alpha, beta) plus boundary overlaps, once per channel value
+    (a channel that fails validation raises on every call)."""
     validate_channel(channel)
     q = channel.qudit_dim()
     w = channel.arity

@@ -35,8 +35,10 @@ the one table:
   whose nodes are the table's (new, S, old) entries with their input
   wires in them; valid with or without noise.
 
-Each call builds the weights of a node kind (each leg's fixed spin or
-free, plus the input wires) once.  Without noise they are integer
+The weights of a node kind (each leg's fixed spin or free, plus the
+input wires) are computed once per process for each rule, in bounded
+caches keyed by the rule's typed parameters (:func:`_weights`), so a
+sweep over many sizes reuses them.  Without noise they are integer
 numerators over 1 or q^2 + 1 (:meth:`TrivalentRule.numerators`): the
 evaluators run in ints and build one Fraction at the end.
 
@@ -57,7 +59,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from functools import lru_cache
+from math import copysign, gcd, prod
 
 from rewindlab.circuits import GateLayout, RecycleTarget
 from rewindlab.errors import (
@@ -111,39 +114,69 @@ class TrivalentRule:
         at (ONE, S) by (q, 1) when kept and by ``recycled_boundary`` when
         recycled.  The entries are exact when every parameter is exact.
         """
-        d4 = self.q**4 - 1
-        return {key: _ratio(num, d4) * wires for key, num, wires in self._over_d4(node)}
+        return dict(_weights(self._key(), _kind(node), False)[0])
 
     def numerators(self, node: LatticeNode) -> tuple[dict, int]:
         """:meth:`table` as integer numerators over d4 reduced by their gcd;
         needs integer parameters."""
-        d4 = self.q**4 - 1
-        nums = {key: num * wires for key, num, wires in self._over_d4(node)}
-        g = gcd(d4, *nums.values())
-        return {key: num // g for key, num in nums.items()}, d4 // g
+        table, den = _weights(self._key(), _kind(node), True)
+        return dict(table), den
 
-    def _over_d4(self, node: LatticeNode):
-        """(key, numerator over d4 = q^4 - 1, input-wire factor) per entry."""
-        q = self.q
-        leg1, leg2 = node.legs
-        p1 = self.alpha if leg1.ref is None else self.beta
-        p2 = self.alpha if leg2.ref is None else self.beta
-        at_one = at_s = 1
-        for kind in node.bottoms:
-            one, s = self.recycled_boundary if kind == "recycled" else (q, 1)
-            at_one, at_s = at_one * one, at_s * s
-        for e1 in (0, 1) if leg1.eff is None else (leg1.eff,):
-            for e2 in (0, 1) if leg2.eff is None else (leg2.eff,):
-                if e1 and e2:
-                    p = p1 * p2
-                    w_one, w_s = q * q * (1 - p), p * q**4 - 1
-                elif e1 or e2:
-                    p = p1 if e1 else p2  # the dressing of the leg that carries S
-                    w_one, w_s = q * (q * q - p), q * (p * q * q - 1)
-                else:
-                    w_one, w_s = q**4 - 1, 0
-                yield (0, e1, e2), w_one, at_one
-                yield (1, e1, e2), w_s, at_s
+    def _key(self) -> tuple:
+        """The rule as a cache key: q and each parameter by :func:`_typed`."""
+        return (self.q, *map(_typed, (self.alpha, self.beta, *self.recycled_boundary)))
+
+
+def _typed(x) -> tuple:
+    """``x`` with what ``==`` leaves out: its type, so that 0.5,
+    ``Fraction(1, 2)`` and 1 key results of their own type, and the sign
+    of a float zero."""
+    return type(x), x, copysign(1, x) if isinstance(x, float) else 0
+
+
+def _kind(node: LatticeNode) -> tuple:
+    """What a node's weights depend on: each leg's fixed spin (None when
+    free) and its input wires."""
+    return (node.legs[0].eff, node.legs[1].eff, *node.bottoms)
+
+
+@lru_cache(maxsize=256)
+def _weights(key: tuple, kind: tuple, exact: bool) -> tuple[dict, int]:
+    """Weights of a node kind under the rule of ``key`` (see
+    :meth:`TrivalentRule._key`), computed once per process and shared by
+    every caller, which must not change them.
+
+    Returns (table, 1) with the entries of :meth:`TrivalentRule.table`,
+    or if ``exact`` the integer numerators and their denominator.
+    """
+    q, *params = key
+    alpha, beta, *boundary = (value for _, value, _ in params)
+    d4 = q**4 - 1
+    eff1, eff2, *bottoms = kind
+    p1 = beta if eff1 is None else alpha
+    p2 = beta if eff2 is None else alpha
+    at_one = at_s = 1
+    for wire in bottoms:
+        one, s = boundary if wire == "recycled" else (q, 1)
+        at_one, at_s = at_one * one, at_s * s
+    nums = {}
+    for e1 in (0, 1) if eff1 is None else (eff1,):
+        for e2 in (0, 1) if eff2 is None else (eff2,):
+            if e1 and e2:
+                p = p1 * p2
+                w_one, w_s = q * q * (1 - p), p * q**4 - 1
+            elif e1 or e2:
+                p = p1 if e1 else p2  # the dressing of the leg that carries S
+                w_one, w_s = q * (q * q - p), q * (p * q * q - 1)
+            else:
+                w_one, w_s = q**4 - 1, 0
+            nums[0, e1, e2] = (w_one, at_one)
+            nums[1, e1, e2] = (w_s, at_s)
+    if not exact:
+        return {k: _ratio(num, d4) * wires for k, (num, wires) in nums.items()}, 1
+    nums = {k: num * wires for k, (num, wires) in nums.items()}
+    g = gcd(d4, *nums.values())
+    return {k: num // g for k, num in nums.items()}, d4 // g
 
 
 def _ratio(num, den):
@@ -151,11 +184,11 @@ def _ratio(num, den):
 
 
 def _per_kind(weigh, nodes):
-    """``weigh(node)`` of each node, computed once per kind: leg spins or free, input wires."""
+    """``weigh(kind)`` of each node, looked up once per kind in one call."""
     memo = {}
     for node in nodes:
-        kind = (node.legs[0].eff, node.legs[1].eff, *node.bottoms)
-        yield memo[kind] if kind in memo else memo.setdefault(kind, weigh(node))
+        kind = _kind(node)
+        yield memo[kind] if kind in memo else memo.setdefault(kind, weigh(kind))
 
 
 # -- lattice construction --------------------------------------------------
@@ -296,19 +329,12 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
             if leg.ref is not None:
                 lowest_reader[leg.ref] = node.index
 
-    def weigh(node):
-        # nonzero (own spin, weight) pairs per resolved (leg-1, leg-2) spins
-        table, den = (rule.table(node), 1) if rule.noisy else rule.numerators(node)
-        entries = {(e1, e2): [] for _, e1, e2 in table}
-        for (tau, e1, e2), f in table.items():
-            if f != 0:
-                entries[e1, e2].append((tau, cast(f)))
-        return entries, den
-
     # frontier keys are bitmasks over node indices; weights are over den
     frontier, den = {0: cast(1)}, 1
     nodes = lattice.nodes[::-1]
-    for node, (entries, node_den) in zip(nodes, _per_kind(weigh, nodes)):
+    rule_key = rule._key()
+    weights = _per_kind(lambda kind: _sum_entries(rule_key, kind, rule.noisy), nodes)
+    for node, (entries, node_den) in zip(nodes, weights):
         j = node.index
         own = 1 << j if j in lowest_reader else 0
         done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
@@ -330,6 +356,21 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     return FidelityResult(value=value, method="sum")
 
 
+@lru_cache(maxsize=256)
+def _sum_entries(key: tuple, kind: tuple, noisy: bool) -> tuple[dict, int]:
+    """A node kind's nonzero (own spin, weight) pairs per resolved (leg-1,
+    leg-2) spins, over a denominator: the noiseless rule's integer
+    numerators, or a noisy rule's table as floats.  Shared like
+    :func:`_weights`."""
+    cast = float if noisy else int
+    table, den = _weights(key, kind, not noisy)
+    entries = {(e1, e2): [] for _, e1, e2 in table}
+    for (tau, e1, e2), f in table.items():
+        if f != 0:
+            entries[e1, e2].append((tau, cast(f)))
+    return {pair: tuple(found) for pair, found in entries.items()}, den
+
+
 def enumerate_support(lattice: DiagramLattice):
     """All spin assignments with nonzero weight, found by pruned search.
 
@@ -345,7 +386,8 @@ def enumerate_support(lattice: DiagramLattice):
 
 def _support(lattice: DiagramLattice):
     """:func:`enumerate_support` with integer weights over one denominator."""
-    weights = list(_per_kind(TrivalentRule(lattice.q).numerators, lattice.nodes))
+    key = TrivalentRule(lattice.q)._key()
+    weights = list(_per_kind(lambda kind: _weights(key, kind, True), lattice.nodes))
     tables = [table for table, _ in weights]
     order = list(range(len(lattice.nodes) - 1, -1, -1))
     spins = [0] * len(lattice.nodes)
@@ -391,9 +433,6 @@ def single_wall_fidelity(lattice: DiagramLattice) -> FidelityResult:
 # -- transfer matrices -----------------------------------------------------
 
 
-_CHAIN_LEGS = (LatticeLeg(ref=None, eff=S), LatticeLeg(ref=0, eff=None))
-
-
 def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...], exact: bool = False) -> tuple:
     """Chain node ``[new][old]`` of the convolutional transfer product.
 
@@ -406,8 +445,7 @@ def _chain_node(rule: TrivalentRule, bottoms: tuple[str, ...], exact: bool = Fal
     noise.  Returned as (row ONE, row S, denominator): the rule's integer
     numerators if ``exact``, else its table over 1.
     """
-    node = LatticeNode(index=0, qudits=(1, 2), coords=(0, 1), legs=_CHAIN_LEGS, bottoms=bottoms)
-    table, den = rule.numerators(node) if exact else (rule.table(node), 1)
+    table, den = _weights(rule._key(), (S, None, *bottoms), exact)
     return [table[0, 1, 0], table[0, 1, 1]], [table[1, 1, 0], table[1, 1, 1]], den
 
 

@@ -537,6 +537,57 @@ def test_compare_names_skipped_routes_on_stderr(runner, tmp_path):
     assert all(reason for _, reason in skipped)
 
 
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that calls to it are counted; returns the count list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sweep_builds_one_layout_and_one_lattice_per_point(runner, tmp_path, monkeypatch):
+    from rewindlab import cli, statmech
+
+    layouts = _counting(monkeypatch, cli, "protocol_layout")
+    lattices = _counting(monkeypatch, statmech, "lattice_from_circuit")
+    out = tmp_path / "rows.csv"
+    args = ["sweep", "--family", "conv", "--q", "2,3", "--n", "3:6", "--method", "closed,wall,sum,transfer,twirl"]
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(layouts) == len(lattices) == 8
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 8 * 5
+
+
+def test_compare_names_a_failed_layout_for_each_route_that_reads_it(runner, monkeypatch):
+    """A layout that raises is built once, and every route that needs it is
+    skipped with its message; the routes that do not need it still answer."""
+    from rewindlab import cli
+    from rewindlab.errors import TooLargeError
+
+    def refuse(shape, target):
+        refuse.calls += 1
+        raise TooLargeError("no layout here")
+
+    refuse.calls = 0
+    monkeypatch.setattr(cli, "protocol_layout", refuse)
+    result = runner.invoke(main, ["compare", "--family", "conv", "--n", "5"])
+    assert result.exit_code == 0, result.output
+    assert refuse.calls == 1
+    assert [line.split(":")[0] for line in result.stdout.splitlines()[:2]] == ["closed", "transfer"]
+    assert result.stderr.splitlines() == [
+        "skipped wall: no layout here",
+        "skipped sum: no layout here",
+        "skipped twirl: no layout here",
+        "skipped mc: sampled, not deterministic",
+    ]
+
+
 def test_compare_twirls_conv_past_six_qudits(runner):
     # a convolutional sweep keeps two qudits live, so the oracle reaches any n
     result = runner.invoke(main, ["compare", "--family", "conv", "--n", "12"])

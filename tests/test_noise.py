@@ -165,3 +165,40 @@ def test_channel_stats_equal_reference_loops():
     for channel in channels:
         stats = channel_stats(channel)
         assert (stats.alpha, stats.beta) == _reference_alpha_beta(channel), (channel.dim, len(channel.operators))
+
+
+def test_channels_compare_and_hash_by_value():
+    a, b = depolarizing(2, 0.05), depolarizing(2, 0.05)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, depolarizing(2, 0.06)}) == 2
+    assert a != depolarizing(2, 0.06)
+    assert a != "depolarizing"
+    # the same entries on one qudit pair, or as two operators, are other channels
+    pair = KrausChannel((np.eye(4),), arity=2)
+    assert pair != KrausChannel((np.eye(4),), arity=1)
+    assert KrausChannel((np.eye(2),)) != KrausChannel((np.eye(2) / 2, np.eye(2) / 2))
+
+
+def test_channel_operators_are_read_only_copies():
+    given = np.eye(2)
+    channel = KrausChannel((given,))
+    before = hash(channel)
+    given[0, 0] = 7.0  # the caller's array is not the channel's
+    assert channel.operators[0][0, 0] == 1 and hash(channel) == before
+    assert channel == identity_channel(2)
+    with pytest.raises(ValueError):
+        channel.operators[0][0, 0] = 7.0
+
+
+def test_channel_stats_once_per_channel_value():
+    stats = channel_stats(depolarizing(2, 0.05))
+    assert channel_stats(depolarizing(2, 0.05)) is stats
+    assert stats == channel_stats.__wrapped__(depolarizing(2, 0.05))
+    bad = KrausChannel((np.eye(2) / 2,))
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(NotTracePreservingError):
+            channel_stats(bad)
+    bound = channel_stats.cache_info().maxsize
+    for k in range(bound + 4):
+        channel_stats(depolarizing(2, k / 100))
+    assert channel_stats.cache_info().currsize == bound

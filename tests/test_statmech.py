@@ -427,6 +427,67 @@ def test_lattice_holds_only_its_graph():
                 assert lattice.global_const == Fraction(1, q ** (pinned + lattice.undressed)), (family, n, m, i, q)
 
 
+# -- node-weight caches ------------------------------------------------------
+
+
+def _clear_weight_caches():
+    statmech._weights.cache_clear()
+    statmech._sum_entries.cache_clear()
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_equal_parameters_of_other_types_keep_their_own_weights(reverse):
+    """0.5 == Fraction(1, 2) and 1 == 1.0 == Fraction(1), but each keys its
+    own cache entries: every result has its own type and the value it has
+    with the caches empty, in either call order."""
+    target = RecycleTarget.single(1)
+    lattice = make_lattice(Family.HYBRID, 5, 2, 3, target)
+    params = [
+        (1, 1, (1, 1)),
+        (1.0, 1.0, (1.0, 1.0)),
+        (Fraction(1), Fraction(1), (Fraction(1), Fraction(1))),
+        (Fraction(1, 2), Fraction(3, 4), (Fraction(1), Fraction(9, 10))),
+        (0.5, 0.75, (1.0, 0.9)),
+    ]
+    types = [Fraction, float, Fraction, Fraction, float]
+
+    def routes(a, b, rb):
+        rule = TrivalentRule(3, alpha=a, beta=b, recycled_boundary=rb)
+        return transfer_fidelity(3, 6, target, a, b, rb).value, partition_sum_exhaustive(lattice, rule).value
+
+    cold = []
+    for p in params:
+        _clear_weight_caches()
+        cold.append(routes(*p))
+    _clear_weight_caches()
+    for i in list(range(len(params)))[:: -1 if reverse else 1]:
+        got = routes(*params[i])
+        assert type(got[0]) is types[i], params[i]
+        assert repr(got) == repr(cold[i]), params[i]
+
+
+def test_rule_tables_are_copies_of_the_shared_weights():
+    rule = TrivalentRule(2, alpha=0.9, beta=0.8)
+    node = make_lattice(Family.CONVOLUTIONAL, 4, 1, 2, RecycleTarget.single(1)).nodes[0]
+    table = rule.table(node)
+    table.clear()
+    assert rule.table(node) and rule.table(node) == TrivalentRule(2, alpha=0.9, beta=0.8).table(node)
+    nums, _ = TrivalentRule(2).numerators(node)
+    nums.clear()
+    assert TrivalentRule(2).numerators(node)[0]
+
+
+def test_node_weight_caches_stay_within_their_bounds():
+    node = make_lattice(Family.CONVOLUTIONAL, 4, 1, 2, RecycleTarget.single(1)).nodes[0]
+    for cache in (statmech._weights, statmech._sum_entries):
+        bound = cache.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 10):
+            rule = TrivalentRule(2, alpha=k / (bound + 10), beta=0.5)
+            cache(rule._key(), statmech._kind(node), *((False,) if cache is statmech._weights else (True,)))
+        assert cache.cache_info().currsize == bound
+
+
 # -- frontier contraction against the 2^g enumeration --------------------------
 
 
