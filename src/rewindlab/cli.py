@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import click
 
@@ -142,31 +143,21 @@ def _refuse(methods: list[str], family: Family, target: RecycleTarget, channel, 
 
 class _Point:
     """One grid point: its shape and target, and the gate layout and spin
-    lattice its routes share, each built at most once.  A build that raised
-    raises the same error again for every route that reads it."""
+    lattice its routes share, each built once.  A build that raised is not
+    kept, so every route that reads it raises the same message."""
 
     def __init__(self, shape: CircuitShape, target: RecycleTarget):
         self.shape, self.target = shape, target
-        self._built: dict = {}
 
-    def _once(self, name: str, build):
-        if name not in self._built:
-            try:
-                self._built[name] = build()
-            except RewindlabError as exc:
-                self._built[name] = exc
-        found = self._built[name]
-        if isinstance(found, RewindlabError):
-            raise found
-        return found
-
+    @cached_property
     def layout(self):
-        return self._once("layout", lambda: protocol_layout(self.shape, self.target))
+        return protocol_layout(self.shape, self.target)
 
+    @cached_property
     def lattice(self):
         from rewindlab import statmech
 
-        return self._once("lattice", lambda: statmech.lattice_from_circuit(self.layout(), self.target))
+        return statmech.lattice_from_circuit(self.layout, self.target)
 
 
 def _evaluate(method: str, point: _Point, channel, stats, samples: int, seed: int) -> FidelityResult:
@@ -196,16 +187,16 @@ def _evaluate(method: str, point: _Point, channel, stats, samples: int, seed: in
         from rewindlab import oracle
 
         if method == "twirl":
-            return oracle.exact_twirl_fidelity(point.layout(), target, channel=channel)
-        return oracle.mc_average_fidelity(point.layout(), target, channel=channel, samples=samples, rng=seed)
+            return oracle.exact_twirl_fidelity(point.layout, target, channel=channel)
+        return oracle.mc_average_fidelity(point.layout, target, channel=channel, samples=samples, rng=seed)
     from rewindlab import statmech
 
     if method == "transfer":
         return statmech.transfer_fidelity(q, n, target, a, b, rb)
     if method == "wall":
-        return statmech.single_wall_fidelity(point.lattice())
+        return statmech.single_wall_fidelity(point.lattice)
     rule = statmech.TrivalentRule(q, alpha=a, beta=b, recycled_boundary=rb)
-    return statmech.partition_sum_exhaustive(point.lattice(), rule)
+    return statmech.partition_sum_exhaustive(point.lattice, rule)
 
 
 def _parse_methods(text: str) -> list[str]:

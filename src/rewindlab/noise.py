@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +34,9 @@ class KrausChannel:
 
     The operators are stored as read-only complex copies, so a channel is
     a value: two channels are equal, and hash alike, when their arity,
-    operator shapes and operator bytes agree.  Caches of per-channel
-    constants (:func:`channel_stats`, :func:`rewindlab.oracle._gate_maps`)
-    are keyed by it.
+    operator shapes and operator bytes agree.  The twirl's cache of
+    per-channel gate maps (:func:`rewindlab.oracle._gate_maps`) is keyed
+    by it.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -114,10 +113,8 @@ class ChannelStats:
         return (self.recycled_one, self.recycled_s)
 
 
-@lru_cache(maxsize=64)
 def channel_stats(channel: KrausChannel) -> ChannelStats:
-    """Derive (alpha, beta) plus boundary overlaps, once per channel value
-    (a channel that fails validation raises on every call)."""
+    """Derive (alpha, beta) plus boundary overlaps."""
     validate_channel(channel)
     q = channel.qudit_dim()
     w = channel.arity

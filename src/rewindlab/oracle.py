@@ -183,11 +183,20 @@ def _copy_maps(channel: "KrausChannel", q: int) -> tuple[np.ndarray, np.ndarray]
     return tuple(t.reshape((q,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d, d, d) for t in (sup, adj))
 
 
-@lru_cache(maxsize=16)
 def _gate_maps(q: int, channel: "KrausChannel | None"):
-    """Per-gate maps with the slot channels folded in, computed once per q
-    and channel value (see :class:`rewindlab.noise.KrausChannel`) and
-    read-only.
+    """:func:`_build_gate_maps`, read-only, computed once per channel value
+    (see :class:`rewindlab.noise.KrausChannel`) for q <= 3 and built on
+    every call for larger q.  The maps hold about 4 q^8 numbers: the cache
+    keeps at most 8 entries of 8 kB (real, q = 2) to 0.4 MB (complex,
+    q = 3), 3.4 MB in all, where one q = 4 entry would take 2 to 4 MB and
+    one q = 7 entry 0.2 to 0.4 GB."""
+    if q <= 3:
+        return _cached_gate_maps(q, channel)
+    return _build_gate_maps(q, channel)
+
+
+def _build_gate_maps(q: int, channel: "KrausChannel | None"):
+    """Per-gate maps with the slot channels folded in.
 
     A rewound gate is K_rho P^T W P K_adj on its q^8 pair block: P (2 x q^8)
     projects onto the pairing states one x one and s x s, W mixes them with
@@ -196,8 +205,6 @@ def _gate_maps(q: int, channel: "KrausChannel | None"):
     the (c1, c2) copies; ``first`` = K_rho|Phi Phi>> / d as a (d, d) matrix.
     Without a channel K is the identity; an arity-1 channel dresses each
     qudit's block by its own (d, d) map, an arity-2 one the pair block.
-    An entry holds about 4 q^8 numbers: 8 kB (real) to 17 kB (complex) at
-    q = 2, 0.2 to 0.4 MB at q = 3.
     """
     d = q * q
     one, s = _pair_vectors(q)
@@ -221,6 +228,9 @@ def _gate_maps(q: int, channel: "KrausChannel | None"):
     down = np.stack([r.ravel() for r in rows])
     up = np.stack([c.ravel() for c in cols], axis=1) @ np.array([[wg_e, wg_t], [wg_t, wg_e]])
     return _read_only(down, up, first.reshape(d, d) / d)
+
+
+_cached_gate_maps = lru_cache(maxsize=8)(_build_gate_maps)
 
 
 def _join(v: np.ndarray, pre: int, q: int, full: bool, targeted: bool) -> np.ndarray:

@@ -36,8 +36,8 @@ the one table:
   wires in them; valid with or without noise.
 
 The weights of a node kind (each leg's fixed spin or free, plus the
-input wires) are computed once per process for each rule, in bounded
-caches keyed by the rule's typed parameters (:func:`_weights`), so a
+input wires) are computed once per process for each rule, in a bounded
+cache keyed by the rule's typed parameters (:func:`_weights`), so a
 sweep over many sizes reuses them.  Without noise they are integer
 numerators over 1 or q^2 + 1 (:meth:`TrivalentRule.numerators`): the
 evaluators run in ints and build one Fraction at the end.
@@ -329,12 +329,21 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
             if leg.ref is not None:
                 lowest_reader[leg.ref] = node.index
 
+    rule_key = rule._key()
+
+    def weigh(kind):
+        # nonzero (own spin, weight) pairs per resolved (leg-1, leg-2) spins
+        table, den = _weights(rule_key, kind, not rule.noisy)
+        entries = {(e1, e2): [] for _, e1, e2 in table}
+        for (tau, e1, e2), f in table.items():
+            if f != 0:
+                entries[e1, e2].append((tau, cast(f)))
+        return entries, den
+
     # frontier keys are bitmasks over node indices; weights are over den
     frontier, den = {0: cast(1)}, 1
     nodes = lattice.nodes[::-1]
-    rule_key = rule._key()
-    weights = _per_kind(lambda kind: _sum_entries(rule_key, kind, rule.noisy), nodes)
-    for node, (entries, node_den) in zip(nodes, weights):
+    for node, (entries, node_den) in zip(nodes, _per_kind(weigh, nodes)):
         j = node.index
         own = 1 << j if j in lowest_reader else 0
         done = {leg.ref for leg in node.legs if leg.ref is not None and lowest_reader[leg.ref] == j}
@@ -354,21 +363,6 @@ def partition_sum_exhaustive(lattice: DiagramLattice, rule: TrivalentRule | None
     total = sum(frontier.values(), cast(0))
     value = total * float(lattice.global_const) if rule.noisy else Fraction(total, den) * lattice.global_const
     return FidelityResult(value=value, method="sum")
-
-
-@lru_cache(maxsize=256)
-def _sum_entries(key: tuple, kind: tuple, noisy: bool) -> tuple[dict, int]:
-    """A node kind's nonzero (own spin, weight) pairs per resolved (leg-1,
-    leg-2) spins, over a denominator: the noiseless rule's integer
-    numerators, or a noisy rule's table as floats.  Shared like
-    :func:`_weights`."""
-    cast = float if noisy else int
-    table, den = _weights(key, kind, not noisy)
-    entries = {(e1, e2): [] for _, e1, e2 in table}
-    for (tau, e1, e2), f in table.items():
-        if f != 0:
-            entries[e1, e2].append((tau, cast(f)))
-    return {pair: tuple(found) for pair, found in entries.items()}, den
 
 
 def enumerate_support(lattice: DiagramLattice):

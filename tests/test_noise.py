@@ -189,16 +189,3 @@ def test_channel_operators_are_read_only_copies():
     with pytest.raises(ValueError):
         channel.operators[0][0, 0] = 7.0
 
-
-def test_channel_stats_once_per_channel_value():
-    stats = channel_stats(depolarizing(2, 0.05))
-    assert channel_stats(depolarizing(2, 0.05)) is stats
-    assert stats == channel_stats.__wrapped__(depolarizing(2, 0.05))
-    bad = KrausChannel((np.eye(2) / 2,))
-    for _ in range(2):  # a refusal is not cached
-        with pytest.raises(NotTracePreservingError):
-            channel_stats(bad)
-    bound = channel_stats.cache_info().maxsize
-    for k in range(bound + 4):
-        channel_stats(depolarizing(2, k / 100))
-    assert channel_stats.cache_info().currsize == bound

@@ -367,7 +367,7 @@ def _cache_channels(q):
 def test_cached_gate_maps_equal_a_fresh_computation(q):
     for name, channel in _cache_channels(q).items():
         cached = oracle._gate_maps(q, channel)
-        fresh = oracle._gate_maps.__wrapped__(q, channel)
+        fresh = oracle._build_gate_maps(q, channel)
         for got, want in zip(cached, fresh):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         # an equal channel built anew finds the same entry
@@ -384,14 +384,36 @@ def test_cached_twirl_constants_are_read_only():
 
 
 def test_twirl_constant_caches_stay_within_their_bounds():
-    bound = oracle._gate_maps.cache_info().maxsize
+    bound = oracle._cached_gate_maps.cache_info().maxsize
     for k in range(bound + 4):
         oracle._gate_maps(2, depolarizing(2, k / 100))
-    assert oracle._gate_maps.cache_info().currsize == bound
+    assert oracle._cached_gate_maps.cache_info().currsize == bound
     bound = oracle._pair_vectors.cache_info().maxsize
     for q in range(2, bound + 4):
         oracle._pair_vectors(q)
     assert oracle._pair_vectors.cache_info().currsize == bound
+
+
+def test_gate_map_cache_holds_a_bounded_number_of_bytes():
+    """The cache keeps maps for q <= 3 only, at most ``maxsize`` entries of
+    4 q^8 complex numbers; one q = 4 entry alone would take 2 MB."""
+    cache = oracle._cached_gate_maps
+    bound = cache.cache_info().maxsize
+    rng = np.random.default_rng(5081)
+    channels = [random_channel(3, 2, rng) for _ in range(bound + 4)]
+    cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for channel in channels:
+            oracle._gate_maps(3, channel)
+        for channel in (None, depolarizing(4, 0.05)):
+            assert oracle._gate_maps(4, channel) is not oracle._gate_maps(4, channel)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cache.cache_info().currsize == bound
+    assert all(np.iscomplexobj(a) for a in oracle._gate_maps(3, channels[-1]))
+    assert held <= bound * 4 * 3**8 * 16 * 1.1
 
 
 # -- narrow gate order -------------------------------------------------------

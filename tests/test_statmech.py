@@ -427,19 +427,14 @@ def test_lattice_holds_only_its_graph():
                 assert lattice.global_const == Fraction(1, q ** (pinned + lattice.undressed)), (family, n, m, i, q)
 
 
-# -- node-weight caches ------------------------------------------------------
-
-
-def _clear_weight_caches():
-    statmech._weights.cache_clear()
-    statmech._sum_entries.cache_clear()
+# -- node-weight cache -------------------------------------------------------
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_equal_parameters_of_other_types_keep_their_own_weights(reverse):
     """0.5 == Fraction(1, 2) and 1 == 1.0 == Fraction(1), but each keys its
     own cache entries: every result has its own type and the value it has
-    with the caches empty, in either call order."""
+    with the cache empty, in either call order."""
     target = RecycleTarget.single(1)
     lattice = make_lattice(Family.HYBRID, 5, 2, 3, target)
     params = [
@@ -457,9 +452,9 @@ def test_equal_parameters_of_other_types_keep_their_own_weights(reverse):
 
     cold = []
     for p in params:
-        _clear_weight_caches()
+        statmech._weights.cache_clear()
         cold.append(routes(*p))
-    _clear_weight_caches()
+    statmech._weights.cache_clear()
     for i in list(range(len(params)))[:: -1 if reverse else 1]:
         got = routes(*params[i])
         assert type(got[0]) is types[i], params[i]
@@ -477,15 +472,14 @@ def test_rule_tables_are_copies_of_the_shared_weights():
     assert TrivalentRule(2).numerators(node)[0]
 
 
-def test_node_weight_caches_stay_within_their_bounds():
+def test_node_weight_cache_stays_within_its_bound():
     node = make_lattice(Family.CONVOLUTIONAL, 4, 1, 2, RecycleTarget.single(1)).nodes[0]
-    for cache in (statmech._weights, statmech._sum_entries):
-        bound = cache.cache_info().maxsize
-        assert bound is not None
-        for k in range(bound + 10):
-            rule = TrivalentRule(2, alpha=k / (bound + 10), beta=0.5)
-            cache(rule._key(), statmech._kind(node), *((False,) if cache is statmech._weights else (True,)))
-        assert cache.cache_info().currsize == bound
+    bound = statmech._weights.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 10):
+        rule = TrivalentRule(2, alpha=k / (bound + 10), beta=0.5)
+        statmech._weights(rule._key(), statmech._kind(node), False)
+    assert statmech._weights.cache_info().currsize == bound
 
 
 # -- frontier contraction against the 2^g enumeration --------------------------
